@@ -1,12 +1,12 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all check fmt-check vet build test race fuzz-smoke serve-smoke reload-smoke router-smoke ingest-smoke fleet-ingest-smoke embed-bench-smoke bench bench-all bench-smoke bench-scale bench-scale-smoke clean
+.PHONY: all check fmt-check vet build test race fuzz-smoke serve-smoke reload-smoke router-smoke ingest-smoke fleet-ingest-smoke embed-bench-smoke bench-selftest bench bench-all bench-smoke bench-scale bench-scale-smoke clean
 
 all: check
 
 # The full tier-1 gate: what CI runs.
-check: fmt-check vet build test race fuzz-smoke serve-smoke reload-smoke router-smoke ingest-smoke fleet-ingest-smoke embed-bench-smoke
+check: fmt-check vet build test race fuzz-smoke serve-smoke reload-smoke router-smoke ingest-smoke fleet-ingest-smoke embed-bench-smoke bench-selftest
 
 # gofmt gate: fails listing any file that is not gofmt-clean.
 fmt-check:
@@ -79,6 +79,12 @@ fleet-ingest-smoke:
 # allocation bound — the properties timing benchmarks cannot assert.
 embed-bench-smoke:
 	$(GO) test -tags smoke -run TestEmbedBenchSmoke -v ./cmd/embedbench
+
+# The end-to-end benchmark (perfbench/, see BENCHMARK.json) is its own Go
+# module, so ./... above never compiles it; this vets and runs its
+# self-test against the current tree (~15 s).
+bench-selftest:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Tracked benchmarks: writes BENCH_census.json (ns/root, allocs/root,
 # subgraphs/sec for the census hot path), BENCH_embed.json (walks/sec,

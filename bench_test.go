@@ -24,7 +24,6 @@ import (
 	"hsgf/internal/graph"
 	"hsgf/internal/iso"
 	"hsgf/internal/motif"
-	"hsgf/internal/typed"
 )
 
 // benchRankConfig is the reduced rank-prediction configuration shared by
@@ -368,11 +367,11 @@ func BenchmarkCensusParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkTypedDirectedCensus measures the §5 extension: the typed
-// census on a directed, edge-labelled version of the ablation graph.
+// BenchmarkTypedDirectedCensus measures the §5 extension: the census on
+// a directed, edge-labelled version of the ablation graph.
 func BenchmarkTypedDirectedCensus(b *testing.B) {
 	rng := rand.New(rand.NewSource(321))
-	tb := typed.NewBuilder(true)
+	tb := graph.NewTypedBuilder(true)
 	tb.DeclareNodeLabels("a", "b", "c")
 	tb.DeclareEdgeLabels("x", "y")
 	n := 300
@@ -391,7 +390,7 @@ func BenchmarkTypedDirectedCensus(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ex, err := typed.NewExtractor(g, typed.Options{MaxEdges: 4})
+	ex, err := core.NewExtractor(g, core.Options{MaxEdges: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -399,30 +398,7 @@ func BenchmarkTypedDirectedCensus(b *testing.B) {
 	for i := range roots {
 		roots[i] = graph.NodeID(i)
 	}
-	b.ResetTimer()
-	var total int64
-	for i := 0; i < b.N; i++ {
-		total = 0
-		for _, c := range ex.CensusAll(roots, 1) {
-			total += c.Subgraphs
-		}
-	}
-	b.ReportMetric(float64(total)/float64(len(roots)), "subgraphs/node")
-}
-
-// BenchmarkTypedUndirectedOverhead measures the typed engine on the same
-// undirected single-edge-label workload as the core ablation graph, to
-// quantify the generalisation overhead against BenchmarkAblationRollingHash.
-func BenchmarkTypedUndirectedOverhead(b *testing.B) {
-	g, roots := ablationGraph(b)
-	tg, err := typed.FromUndirected(g, "e")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ex, err := typed.NewExtractor(tg, typed.Options{MaxEdges: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var total int64
 	for i := 0; i < b.N; i++ {

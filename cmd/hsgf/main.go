@@ -22,9 +22,11 @@
 // generation-numbered snapshots that hsgfd -store can boot from and
 // hot-reload.
 //
-// With -typed, the input uses the typed TSV format (a "t directed|
-// undirected" header and edge labels on every edge line) and features
-// are direction- and edge-label-aware (the paper's §5 extension).
+// Input in the typed TSV format (a leading "t directed|undirected"
+// record and an edge label on every edge line) yields direction- and
+// edge-label-aware features (the paper's §5 extension). -json,
+// -checkpoint, -store and -partition refuse typed input: their formats
+// carry no edge-type section.
 //
 // With -partition N -shards-out DIR the command becomes the fleet
 // partitioner instead of an extractor: the graph is cut into N
@@ -44,7 +46,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"syscall"
 	"time"
@@ -52,7 +53,6 @@ import (
 	"hsgf"
 	"hsgf/internal/graph"
 	"hsgf/internal/router"
-	"hsgf/internal/typed"
 )
 
 func main() {
@@ -66,7 +66,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		strKeys  = flag.Bool("canonical-keys", false, "use canonical-string census keys instead of the rolling hash")
 		asJSON   = flag.Bool("json", false, "write a JSON FeatureSet (decoded vocabulary + sparse rows) instead of CSV")
-		typedIn  = flag.Bool("typed", false, "input is a typed TSV graph (directed / edge-labelled features)")
 		budget   = flag.Int64("root-budget", 0, "max subgraphs enumerated per root; 0 = unlimited")
 		deadline = flag.Duration("root-deadline", 0, "max wall-clock time per root; 0 = unlimited")
 		ckpt     = flag.String("checkpoint", "", "snapshot completed roots to this file during extraction")
@@ -91,16 +90,8 @@ func main() {
 	if *partition > 0 {
 		if *shardsOut == "" {
 			err = fmt.Errorf("-partition requires -shards-out")
-		} else if *typedIn {
-			err = fmt.Errorf("-partition is not supported with -typed")
 		} else {
 			err = runPartition(*in, *shardsOut, *partition, *halo, *emax, *dmaxPct)
-		}
-	} else if *typedIn {
-		if *ckpt != "" || *budget != 0 || *deadline != 0 || *storeDir != "" {
-			err = fmt.Errorf("-checkpoint, -root-budget, -root-deadline and -store are not supported with -typed")
-		} else {
-			err = runTyped(*in, *out, *emax, *mask, *label, *workers)
 		}
 	} else {
 		err = run(*in, *out, *workers, *asJSON, extractConfig{
@@ -311,93 +302,6 @@ func reportDegradation(censuses []*hsgf.Census, panics []hsgf.PanicRecord) {
 	for _, p := range panics {
 		fmt.Fprintf(os.Stderr, "hsgf: warning: worker panic at root %d: %s\n", p.Root, p.Value)
 	}
-}
-
-// runTyped extracts typed (directed / edge-labelled) features and writes
-// them as CSV.
-func runTyped(in, out string, emax int, mask bool, label string, workers int) error {
-	f, err := os.Open(in)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	g, err := typed.ReadTSV(f)
-	if err != nil {
-		return err
-	}
-
-	var roots []hsgf.NodeID
-	if label != "" {
-		l, ok := g.NodeAlphabet().Lookup(label)
-		if !ok {
-			return fmt.Errorf("unknown label %q (have %v)", label, g.NodeAlphabet().Names())
-		}
-		for v := 0; v < g.NumNodes(); v++ {
-			if g.Label(hsgf.NodeID(v)) == l {
-				roots = append(roots, hsgf.NodeID(v))
-			}
-		}
-	} else {
-		roots = make([]hsgf.NodeID, g.NumNodes())
-		for i := range roots {
-			roots[i] = hsgf.NodeID(i)
-		}
-	}
-
-	ex, err := typed.NewExtractor(g, typed.Options{MaxEdges: emax, MaskRootLabel: mask})
-	if err != nil {
-		return err
-	}
-	censuses := ex.CensusAll(roots, workers)
-
-	// Column vocabulary in ascending key order.
-	keySet := map[uint64]bool{}
-	for _, c := range censuses {
-		for k := range c.Counts {
-			keySet[k] = true
-		}
-	}
-	keys := make([]uint64, 0, len(keySet))
-	for k := range keySet {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	col := make(map[uint64]int, len(keys))
-	for i, k := range keys {
-		col[k] = i
-	}
-
-	err = writeOutput(out, func(w io.Writer) error {
-		cw := csv.NewWriter(w)
-		header := make([]string, 1+len(keys))
-		header[0] = "node"
-		for i, k := range keys {
-			header[i+1] = ex.EncodingString(k)
-		}
-		if err := cw.Write(header); err != nil {
-			return err
-		}
-		row := make([]string, 1+len(keys))
-		for i, root := range roots {
-			row[0] = strconv.Itoa(int(root))
-			for j := range keys {
-				row[j+1] = "0"
-			}
-			for k, n := range censuses[i].Counts {
-				row[col[k]+1] = strconv.FormatInt(n, 10)
-			}
-			if err := cw.Write(row); err != nil {
-				return err
-			}
-		}
-		cw.Flush()
-		return cw.Error()
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "hsgf: %d nodes, %d typed features (emax=%d)\n", len(roots), len(keys), emax)
-	return nil
 }
 
 // runPartition cuts the graph for the routing tier: per-shard store

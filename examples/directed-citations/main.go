@@ -10,10 +10,11 @@ import (
 	"sort"
 
 	"hsgf"
+	"hsgf/internal/graph"
 )
 
 func main() {
-	b := hsgf.NewTypedBuilder(true) // directed
+	b := graph.NewTypedBuilder(true) // directed
 	if err := b.DeclareEdgeLabels("cites", "extends"); err != nil {
 		panic(err)
 	}
@@ -52,7 +53,7 @@ func main() {
 	fmt.Printf("directed citation network: %d papers, %d arcs, %d edge labels\n",
 		g.NumNodes(), g.NumEdges(), g.NumEdgeLabels())
 
-	ex, err := hsgf.NewTypedExtractor(g, hsgf.TypedOptions{MaxEdges: 2})
+	ex, err := hsgf.NewExtractor(g, hsgf.Options{MaxEdges: 2})
 	if err != nil {
 		panic(err)
 	}

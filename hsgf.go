@@ -54,7 +54,7 @@ type (
 	NodeID = graph.NodeID
 	// Label identifies a node type within one Graph's alphabet.
 	Label = graph.Label
-	// EdgeID identifies an undirected edge within one Graph.
+	// EdgeID identifies an edge within one Graph.
 	EdgeID = graph.EdgeID
 	// Builder accumulates nodes and edges and freezes them into a Graph.
 	Builder = graph.Builder
@@ -127,12 +127,15 @@ func NewBuilderWithAlphabet(a *Alphabet) *Builder { return graph.NewBuilderWithA
 // NewAlphabet returns an alphabet over the given label names.
 func NewAlphabet(names ...string) (*Alphabet, error) { return graph.NewAlphabet(names...) }
 
-// ReadTSV parses a graph in the TSV exchange format (see WriteTSV).
+// ReadTSV parses a graph in the TSV exchange format (see WriteTSV), or
+// an edge-typed graph when the first record is "t directed|undirected"
+// and every edge line carries an edge label; extractors over typed
+// graphs produce direction- and edge-label-aware features.
 func ReadTSV(r io.Reader) (*Graph, error) { return graph.ReadTSV(r) }
 
 // WriteTSV serializes a graph in the line-oriented TSV exchange format:
 // "n<TAB>label[<TAB>name]" node lines followed by "e<TAB>u<TAB>v" edge
-// lines.
+// lines — in the typed format for edge-typed graphs.
 func WriteTSV(w io.Writer, g *Graph) error { return graph.WriteTSV(w, g) }
 
 // LabelConnectivityOf computes the label connectivity graph of g.

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -145,39 +147,53 @@ func TestFacadeSamplingHelpers(t *testing.T) {
 }
 
 func TestFacadeTypedAPI(t *testing.T) {
-	b := NewTypedBuilder(true)
-	if err := b.DeclareEdgeLabels("cites"); err != nil {
-		t.Fatal(err)
-	}
-	u, _ := b.AddNode("p")
-	v, _ := b.AddNode("p")
-	if err := b.AddEdge(u, v, "cites"); err != nil {
-		t.Fatal(err)
-	}
-	tg, err := b.Build()
+	// Typed TSV input reaches the one Extractor with direction-aware
+	// features.
+	tg, err := ReadTSV(strings.NewReader("t\tdirected\nn\tp\nn\tp\ne\t0\t1\tcites\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := NewTypedExtractor(tg, TypedOptions{MaxEdges: 1})
+	ex, err := NewExtractor(tg, Options{MaxEdges: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := ex.Census(u)
+	c := ex.Census(0)
 	if c.Subgraphs != 1 {
 		t.Errorf("typed census = %d subgraphs, want 1", c.Subgraphs)
 	}
+	for key := range c.Counts {
+		if got, want := ex.EncodingString(key), "p|p/cites>:1;p|p/cites<:1"; got != want {
+			t.Errorf("typed encoding %q, want %q", got, want)
+		}
+	}
 
-	// Lifting an undirected graph preserves censuses.
+	// Lifting a plain graph to the typed format with a single undirected
+	// edge label preserves censuses key for key.
 	g, nodes := buildExampleGraph(t)
-	lifted, err := FromUndirected(g, "edge")
+	var plainTSV bytes.Buffer
+	if err := WriteTSV(&plainTSV, g); err != nil {
+		t.Fatal(err)
+	}
+	lifted := "t\tundirected\n"
+	for _, line := range strings.Split(strings.TrimSpace(plainTSV.String()), "\n") {
+		if strings.HasPrefix(line, "e\t") {
+			line += "\tedge"
+		}
+		lifted += line + "\n"
+	}
+	plain, err := ReadTSV(&plainTSV)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _ := NewExtractor(g, Options{MaxEdges: 2})
-	typedEx, _ := NewTypedExtractor(lifted, TypedOptions{MaxEdges: 2})
+	typedG, err := ReadTSV(strings.NewReader(lifted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainEx, _ := NewExtractor(plain, Options{MaxEdges: 2})
+	typedEx, _ := NewExtractor(typedG, Options{MaxEdges: 2})
 	for _, v := range nodes {
-		if plain.Census(v).Subgraphs != typedEx.Census(v).Subgraphs {
-			t.Fatalf("typed lift changes census totals at node %d", v)
+		if !reflect.DeepEqual(plainEx.Census(v).Counts, typedEx.Census(v).Counts) {
+			t.Fatalf("typed lift changes the census at node %d", v)
 		}
 	}
 }

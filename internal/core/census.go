@@ -90,10 +90,11 @@ const (
 	stateListed
 )
 
-// cand is a candidate extension edge: id names the undirected edge, from is
-// the endpoint that was inside the subgraph when the candidate was listed,
+// cand is a candidate extension edge: id names the edge, from is the
+// endpoint that was inside the subgraph when the candidate was listed,
 // and to is the other endpoint (which may or may not have joined the
-// subgraph since).
+// subgraph since). On a typed graph the incidence codes at both ends
+// derive from (id, from); see cols.
 type cand struct {
 	from, to graph.NodeID
 	id       graph.EdgeID
@@ -108,10 +109,12 @@ type seg struct{ lo, hi int }
 // implementation additionally keeps one byte per edge of private state in
 // exchange for O(1) candidate bookkeeping.
 type worker struct {
-	g    *graph.Graph
-	opts Options
-	k    int
-	pows *powerTable
+	g      *graph.Graph
+	opts   Options
+	k      int // label slots
+	m      int // incidence types, 1 unless the graph is typed
+	stride int // typed degrees per subgraph node, k·m
+	pows   *powerTable
 
 	maxEdges int
 	dmax     int
@@ -122,7 +125,7 @@ type worker struct {
 	// Subgraph under construction. Positions 0..len(nodes)-1 are live.
 	nodes   []graph.NodeID
 	slabels []int32  // label slot per subgraph position (root may be masked)
-	tv      []int32  // typed degrees, stride k, aligned with nodes
+	tv      []int32  // typed degrees, stride k·m, aligned with nodes
 	rv      []uint64 // raw rolling values, aligned with nodes
 	hash    uint64   // Σ mix(rv) over subgraph nodes
 	edges   int
@@ -141,9 +144,9 @@ type worker struct {
 	// per root; the per-root Counts map is materialised from it once at
 	// census end, so the emission hot path never touches a Go map.
 	tab *counterTable
-	// zeroRow is a k-wide all-zero row appended into tv when a node
+	// zeroRow is a stride-wide all-zero row appended into tv when a node
 	// joins the subgraph; appending from it avoids the temp-slice
-	// allocation of make([]int32, k) per fresh node.
+	// allocation of make([]int32, stride) per fresh node.
 	zeroRow    []int32
 	repr       map[uint64]Sequence // first-seen canonical form per key
 	reprMerged int                 // len(repr) at the last flush into the extractor
@@ -207,11 +210,13 @@ func (w *worker) abort(why CensusFlag) {
 	w.abortWhy |= why
 }
 
-func newWorker(g *graph.Graph, opts Options, k int, pows *powerTable) *worker {
+func newWorker(g *graph.Graph, opts Options, k, m int, pows *powerTable) *worker {
 	w := &worker{
 		g:        g,
 		opts:     opts,
 		k:        k,
+		m:        m,
+		stride:   k * m,
 		pows:     pows,
 		maxEdges: opts.MaxEdges,
 		dmax:     opts.MaxDegree,
@@ -229,9 +234,9 @@ func newWorker(g *graph.Graph, opts Options, k int, pows *powerTable) *worker {
 	maxNodes := opts.MaxEdges + 1
 	w.nodes = make([]graph.NodeID, 0, maxNodes)
 	w.slabels = make([]int32, 0, maxNodes)
-	w.tv = make([]int32, 0, maxNodes*k)
+	w.tv = make([]int32, 0, maxNodes*w.stride)
 	w.rv = make([]uint64, 0, maxNodes)
-	w.zeroRow = make([]int32, k)
+	w.zeroRow = make([]int32, w.stride)
 	w.tab = newCounterTable(counterMinSize)
 	w.repr = make(map[uint64]Sequence)
 	w.segArena = make([][]seg, opts.MaxEdges+1)
@@ -354,40 +359,34 @@ func (w *worker) grow(segs []seg) {
 			// Leaf batching (the paper's heterogeneous optimization
 			// heuristic): when the next edge exhausts the budget, all
 			// consecutive candidates that attach a fresh node of the same
-			// label to the same subgraph node produce identical encodings,
-			// so they are counted in one step without materialising each
-			// subgraph. The run's candidates are never recursed into, so
-			// their ban/unban cycle is a no-op and can be skipped.
+			// label (and, when typed, incidence code) to the same
+			// subgraph node produce identical encodings, so they are
+			// counted in one step without materialising each subgraph.
+			// The run's candidates are never recursed into, so their
+			// ban/unban cycle is a no-op and can be skipped.
 			if w.edges+1 == w.maxEdges && !w.opts.DisableLeafBatching {
 				if j := w.leafRun(p, hi); j > p {
+					if w.m > 1 {
+						j = w.sameCodePrefix(p, j)
+					}
 					pa := w.nodePos[c.from]
 					la, lb := w.slabels[pa], w.labelSlot(c.to)
+					colA, colB := w.cols(c, la, lb)
 					h := w.hash -
 						w.pows.mix(w.rv[pa], la) +
-						w.pows.mix(w.rv[pa]+w.pows.term(la, lb), la) +
-						w.pows.mix(w.pows.term(lb, la), lb)
+						w.pows.mix(w.rv[pa]+w.pows.term(la, colA), la) +
+						w.pows.mix(w.pows.term(lb, colB), lb)
 					n := int64(j - p)
 					if w.opts.KeyMode == CanonicalString {
 						w.addEdge(c)
-						s := w.sequence()
-						h = fnvSequence(s)
-						if w.tab.add(h, n) {
-							if _, ok := w.repr[h]; !ok {
-								w.repr[h] = s
-							}
-						}
+						w.count(n)
 						w.removeEdge(c)
-					} else if w.tab.add(h, n) {
-						// First sight this root; materialise the batch's
-						// representative only if the worker has never
-						// decoded this key before.
-						if _, ok := w.repr[h]; !ok {
-							w.addEdge(c)
-							w.repr[h] = w.sequence()
-							w.removeEdge(c)
+					} else {
+						if w.tab.add(h, n) {
+							w.learnLeaf(h, c)
 						}
+						w.emissions += n
 					}
-					w.emissions += n
 					p = j - 1
 					continue
 				}
@@ -395,7 +394,7 @@ func (w *worker) grow(segs []seg) {
 
 			newNode := w.nodePos[c.to] < 0
 			w.addEdge(c)
-			w.count()
+			w.count(1)
 
 			if w.edges < w.maxEdges {
 				extraStart := len(w.ext)
@@ -449,7 +448,8 @@ func (w *worker) grow(segs []seg) {
 // leafRun returns the exclusive end j of the maximal run ext[p:j) of
 // candidates that share c.from, attach currently-absent nodes, and agree on
 // the attached node's label slot. Runs of length 1 still profit from the
-// batched counting path.
+// batched counting path. On a typed graph grow trims the run further with
+// sameCodePrefix.
 func (w *worker) leafRun(p, hi int) int {
 	c := w.ext[p]
 	if w.nodePos[c.to] >= 0 {
@@ -465,6 +465,40 @@ func (w *worker) leafRun(p, hi int) int {
 		j++
 	}
 	return j
+}
+
+// sameCodePrefix trims the leaf run ext[p:j) to its prefix whose edges
+// share ext[p]'s incidence code at their common from node: only those
+// attach leaves that encode identically. Candidates keep the typed
+// adjacency order (label, code, id), so the prefix is the whole
+// same-code group, and the next group starts a run of its own. Kept out
+// of leafRun so the untyped scan stays exactly as tight as before.
+func (w *worker) sameCodePrefix(p, j int) int {
+	c := w.ext[p]
+	code := w.g.IncidenceCode(c.id, c.from)
+	for q := p + 1; q < j; q++ {
+		if w.g.IncidenceCode(w.ext[q].id, c.from) != code {
+			return q
+		}
+	}
+	return j
+}
+
+// cols returns the typed-degree columns candidate c's edge occupies, given
+// the label slots la of c.from and lb of c.to: at c.from the column of
+// (lb, code seen from c.from), at c.to that of (la, code seen from c.to).
+// Untyped graphs have the single code 0, so the columns are the slots
+// themselves and the typed path is one predictable branch away.
+func (w *worker) cols(c cand, la, lb int32) (colA, colB int32) {
+	if w.m == 1 {
+		return lb, la
+	}
+	return w.typedCols(c, la, lb)
+}
+
+func (w *worker) typedCols(c cand, la, lb int32) (colA, colB int32) {
+	m := int32(w.m)
+	return lb*m + w.g.IncidenceCode(c.id, c.from), la*m + w.g.IncidenceCode(c.id, c.to)
 }
 
 // labelSlot returns the encoding label slot of node v as a non-subgraph
@@ -489,19 +523,20 @@ func (w *worker) addEdge(c cand) {
 		w.rv = append(w.rv, 0)
 	}
 	la, lb := w.slabels[pa], w.slabels[pb]
-	w.tv[int(pa)*w.k+int(lb)]++
-	w.tv[int(pb)*w.k+int(la)]++
+	colA, colB := w.cols(c, la, lb)
+	w.tv[int(pa)*w.stride+int(colA)]++
+	w.tv[int(pb)*w.stride+int(colB)]++
 
 	w.hash -= w.pows.mix(w.rv[pa], la)
-	w.rv[pa] += w.pows.term(la, lb)
+	w.rv[pa] += w.pows.term(la, colA)
 	w.hash += w.pows.mix(w.rv[pa], la)
 
 	if fresh {
-		w.rv[pb] = w.pows.term(lb, la)
+		w.rv[pb] = w.pows.term(lb, colB)
 		w.hash += w.pows.mix(w.rv[pb], lb)
 	} else {
 		w.hash -= w.pows.mix(w.rv[pb], lb)
-		w.rv[pb] += w.pows.term(lb, la)
+		w.rv[pb] += w.pows.term(lb, colB)
 		w.hash += w.pows.mix(w.rv[pb], lb)
 	}
 
@@ -516,11 +551,12 @@ func (w *worker) removeEdge(c cand) {
 	pa := w.nodePos[c.from]
 	pb := w.nodePos[c.to]
 	la, lb := w.slabels[pa], w.slabels[pb]
-	w.tv[int(pa)*w.k+int(lb)]--
-	w.tv[int(pb)*w.k+int(la)]--
+	colA, colB := w.cols(c, la, lb)
+	w.tv[int(pa)*w.stride+int(colA)]--
+	w.tv[int(pb)*w.stride+int(colB)]--
 
 	w.hash -= w.pows.mix(w.rv[pa], la)
-	w.rv[pa] -= w.pows.term(la, lb)
+	w.rv[pa] -= w.pows.term(la, colA)
 	w.hash += w.pows.mix(w.rv[pa], la)
 
 	w.edges--
@@ -531,7 +567,7 @@ func (w *worker) removeEdge(c cand) {
 	// matching addEdge created).
 	dropped := false
 	if int(pb) == len(w.nodes)-1 {
-		row := w.tv[int(pb)*w.k : (int(pb)+1)*w.k]
+		row := w.tv[int(pb)*w.stride : (int(pb)+1)*w.stride]
 		isolated := true
 		for _, t := range row {
 			if t != 0 {
@@ -544,50 +580,61 @@ func (w *worker) removeEdge(c cand) {
 			w.nodePos[c.to] = -1
 			w.nodes = w.nodes[:pb]
 			w.slabels = w.slabels[:pb]
-			w.tv = w.tv[:int(pb)*w.k]
+			w.tv = w.tv[:int(pb)*w.stride]
 			w.rv = w.rv[:pb]
 			dropped = true
 		}
 	}
 	if !dropped {
 		w.hash -= w.pows.mix(w.rv[pb], lb)
-		w.rv[pb] -= w.pows.term(lb, la)
+		w.rv[pb] -= w.pows.term(lb, colB)
 		w.hash += w.pows.mix(w.rv[pb], lb)
 	}
 }
 
-// count registers the current subgraph in the census: one counter-table
-// probe per emission, with the canonical sequence materialised only the
-// first time this root (and this worker's lifetime) sees the key. In
+// count registers n occurrences of the current subgraph in the census:
+// one counter-table probe, with the canonical sequence materialised only
+// the first time this root (and this worker's lifetime) sees the key. In
 // rolling-hash mode the steady state — warm table, known vocabulary —
 // performs no allocation and no map operation at all.
-func (w *worker) count() {
+func (w *worker) count(n int64) {
 	if w.opts.KeyMode == CanonicalString {
 		s := w.sequence()
 		key := fnvSequence(s)
-		if w.tab.add(key, 1) {
+		if w.tab.add(key, n) {
 			if _, ok := w.repr[key]; !ok {
 				w.repr[key] = s
 			}
 		}
-	} else if w.tab.add(w.hash, 1) {
+	} else if w.tab.add(w.hash, n) {
 		if _, ok := w.repr[w.hash]; !ok {
 			w.repr[w.hash] = w.sequence()
 		}
 	}
-	w.emissions++
+	w.emissions += n
+}
+
+// learnLeaf materialises the representative of a batched leaf run's key
+// h the first time the worker meets it (first sight this root already
+// passed the counter table), by briefly adding one of the run's edges.
+func (w *worker) learnLeaf(h uint64, c cand) {
+	if _, ok := w.repr[h]; !ok {
+		w.addEdge(c)
+		w.repr[h] = w.sequence()
+		w.removeEdge(c)
+	}
 }
 
 // sequence materialises the canonical characteristic sequence of the
 // current subgraph.
 func (w *worker) sequence() Sequence {
 	n := len(w.nodes)
-	vals := make([]int32, 0, n*(w.k+1))
+	vals := make([]int32, 0, n*(w.stride+1))
 	for i := 0; i < n; i++ {
 		vals = append(vals, w.slabels[i])
-		vals = append(vals, w.tv[i*w.k:(i+1)*w.k]...)
+		vals = append(vals, w.tv[i*w.stride:(i+1)*w.stride]...)
 	}
-	s := Sequence{K: w.k, Values: vals}
+	s := Sequence{K: w.k, M: w.m, Values: vals}
 	s.normalize()
 	return s
 }

@@ -84,8 +84,13 @@ type snapshotRepr struct {
 // cfg.Path, and a run started with cfg.Resume skips roots the snapshot
 // already covers. Returns the full census slice aligned with roots;
 // pending roots are nil when the context was cancelled, and the error is
-// ctx.Err() or the first snapshot I/O failure.
+// ctx.Err() or the first snapshot I/O failure. Typed extractors are
+// refused (graph.ErrEdgeTyped): the checkpoint format records no
+// incidence count.
 func (e *Extractor) CensusAllCheckpoint(ctx context.Context, roots []graph.NodeID, workers int, cfg CheckpointConfig) ([]*Census, error) {
+	if err := e.g.RequireUntyped("core: checkpoint"); err != nil {
+		return nil, err
+	}
 	if cfg.Path == "" {
 		return nil, fmt.Errorf("core: checkpoint path must not be empty")
 	}

@@ -27,27 +27,39 @@ import (
 // in descending lexicographic order, so the Sequence is a canonical form of
 // the encoding: two subgraphs have equal encodings iff their Sequences are
 // equal.
+//
+// On an edge-typed graph (graph.TypedBuilder) with m incidence types a
+// per-node sequence is (t0, t[0], ..., t[k*m-1]), where t[l*m+c] counts
+// subgraph neighbours with label slot l reached over incidence code c.
+// With m = 1 this is exactly the paper's encoding.
 type Sequence struct {
 	K      int     // number of label slots (graph labels, +1 if the root label is masked)
-	Values []int32 // len = NumNodes * (K+1)
+	M      int     // incidence types per label slot; 0 reads as 1 (untyped)
+	Values []int32 // len = NumNodes * (1 + K*M)
 }
+
+// incidences returns M, reading the zero value as the untyped 1.
+func (s Sequence) incidences() int { return max(s.M, 1) }
+
+// stride returns the per-node sequence length 1 + K·M.
+func (s Sequence) stride() int { return 1 + s.K*s.incidences() }
 
 // NumNodes returns the number of nodes in the encoded subgraph.
 func (s Sequence) NumNodes() int {
 	if s.K == 0 {
 		return 0
 	}
-	return len(s.Values) / (s.K + 1)
+	return len(s.Values) / s.stride()
 }
 
 // NumEdges returns the number of edges in the encoded subgraph (half the
 // sum of all typed degrees).
 func (s Sequence) NumEdges() int {
 	sum := 0
-	stride := s.K + 1
+	stride := s.stride()
 	for n := 0; n < s.NumNodes(); n++ {
-		for l := 1; l <= s.K; l++ {
-			sum += int(s.Values[n*stride+l])
+		for _, t := range s.Values[n*stride+1 : (n+1)*stride] {
+			sum += int(t)
 		}
 	}
 	return sum / 2
@@ -56,13 +68,13 @@ func (s Sequence) NumEdges() int {
 // Node returns the i-th per-node sequence (label, typed degrees). The
 // returned slice aliases s.Values.
 func (s Sequence) Node(i int) []int32 {
-	stride := s.K + 1
+	stride := s.stride()
 	return s.Values[i*stride : (i+1)*stride]
 }
 
 // Equal reports whether two sequences encode the same subgraph type.
 func (s Sequence) Equal(o Sequence) bool {
-	if s.K != o.K || len(s.Values) != len(o.Values) {
+	if s.K != o.K || s.incidences() != o.incidences() || len(s.Values) != len(o.Values) {
 		return false
 	}
 	for i, v := range s.Values {
@@ -76,7 +88,7 @@ func (s Sequence) Equal(o Sequence) bool {
 // normalize sorts the per-node sequences in descending lexicographic order,
 // establishing the canonical form. It mutates s in place.
 func (s *Sequence) normalize() {
-	stride := s.K + 1
+	stride := s.stride()
 	n := s.NumNodes()
 	rows := make([][]int32, n)
 	for i := 0; i < n; i++ {
@@ -107,7 +119,7 @@ const MaskedLabelName = "*"
 // possible (single-character label names and single-digit counts, e.g.
 // "z010z010y002"), falling back to an unambiguous delimited form otherwise.
 // labelName maps a label slot to its display name; slot K-1 may be the
-// masked root label.
+// masked root label. Typed sequences render through typedString.
 func (s Sequence) String(labelName func(int) string) string {
 	stride := s.K + 1
 	compact := true
@@ -145,6 +157,34 @@ func (s Sequence) String(labelName func(int) string) string {
 				}
 				fmt.Fprintf(&b, "%d", t)
 			}
+		}
+	}
+	return b.String()
+}
+
+// typedString renders a typed sequence with named label slots and
+// incidence codes, listing only non-zero counts: "p|p/cites<:2" is a
+// "p" node with two "p" neighbours citing it.
+func (s Sequence) typedString(slotName func(int) string, incName func(int32) string) string {
+	m := s.incidences()
+	var b strings.Builder
+	for n := 0; n < s.NumNodes(); n++ {
+		if n > 0 {
+			b.WriteByte(';')
+		}
+		row := s.Node(n)
+		b.WriteString(slotName(int(row[0])))
+		b.WriteByte('|')
+		first := true
+		for i, t := range row[1:] {
+			if t == 0 {
+				continue
+			}
+			if !first {
+				b.WriteByte(',')
+			}
+			first = false
+			fmt.Fprintf(&b, "%s/%s:%d", slotName(i/m), incName(int32(i%m)), t)
 		}
 	}
 	return b.String()

@@ -133,7 +133,7 @@ func TestRollingHashMatchesSequenceHash(t *testing.T) {
 	// independent).
 	rng := rand.New(rand.NewSource(5))
 	cfg := &quick.Config{MaxCount: 50, Rand: rng}
-	pows := newPowerTable(4)
+	pows := newPowerTable(4, 1)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(6)
@@ -165,7 +165,7 @@ func TestRollingHashMatchesSequenceHash(t *testing.T) {
 }
 
 func TestPowerTableDistinctBases(t *testing.T) {
-	pows := newPowerTable(8)
+	pows := newPowerTable(8, 1)
 	seen := make(map[uint64]bool)
 	for l := 0; l < 8; l++ {
 		b := pows.pow[l][1]
@@ -178,7 +178,7 @@ func TestPowerTableDistinctBases(t *testing.T) {
 		seen[b] = true
 	}
 	// Deterministic across constructions.
-	pows2 := newPowerTable(8)
+	pows2 := newPowerTable(8, 1)
 	for l := 0; l < 8; l++ {
 		if pows.pow[l][3] != pows2.pow[l][3] {
 			t.Error("power table not deterministic")

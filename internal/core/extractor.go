@@ -87,11 +87,14 @@ func DefaultOptions() Options {
 }
 
 // Extractor computes heterogeneous subgraph features over one graph. It is
-// safe for concurrent use; per-goroutine state lives in workers.
+// safe for concurrent use; per-goroutine state lives in workers. On an
+// edge-typed graph the features are direction- and edge-label-aware:
+// the encoding counts neighbours per (label, incidence code).
 type Extractor struct {
 	g    *graph.Graph
 	opts Options
 	k    int // label slots (graph labels + 1 if masking)
+	m    int // incidence types (graph.NumIncidenceTypes; 1 when untyped)
 	pows *powerTable
 
 	mu     sync.Mutex
@@ -130,11 +133,13 @@ func NewExtractor(g *graph.Graph, opts Options) (*Extractor, error) {
 	if opts.MaskRootLabel {
 		k++
 	}
+	m := g.NumIncidenceTypes()
 	return &Extractor{
 		g:    g,
 		opts: opts,
 		k:    k,
-		pows: newPowerTable(k),
+		m:    m,
+		pows: newPowerTable(k, m),
 		// Pre-sized: vocabularies of real networks run to hundreds of
 		// distinct encodings, so early merges should not rehash.
 		repr: make(map[uint64]Sequence, 256),
@@ -372,7 +377,7 @@ func (e *Extractor) lptOrder(roots []graph.NodeID, workers int) []int {
 func (e *Extractor) getWorker(run censusRun) *worker {
 	w, _ := e.pool.Get().(*worker)
 	if w == nil {
-		w = newWorker(e.g, e.opts, e.k, e.pows)
+		w = newWorker(e.g, e.opts, e.k, e.m, e.pows)
 	}
 	w.stop = run.stop
 	w.hooks = e.hooks
@@ -476,7 +481,8 @@ func (e *Extractor) Decode(key uint64) (Sequence, bool) {
 }
 
 // EncodingString renders the sequence behind key in the paper's compact
-// notation (e.g. "z010z010y002"), or "?<key>" if unknown. Renders are
+// notation (e.g. "z010z010y002") — on a typed graph in the typed
+// notation (e.g. "p|p/cites<:2") — or "?<key>" if unknown. Renders are
 // memoised per key: the serving daemon calls this for every count of
 // every response row, so steady state is one lock + one map hit, not a
 // fresh string build. Unknown keys are not cached — the key may become
@@ -491,7 +497,12 @@ func (e *Extractor) EncodingString(key uint64) string {
 	if !ok {
 		return fmt.Sprintf("?%x", key)
 	}
-	str := s.String(e.SlotName)
+	var str string
+	if e.g.Typed() {
+		str = s.typedString(e.SlotName, e.g.IncidenceName)
+	} else {
+		str = s.String(e.SlotName)
+	}
 	e.strs[key] = str
 	return str
 }

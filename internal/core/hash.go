@@ -24,6 +24,11 @@ import "hash/fnv"
 // subgraphs only if the multisets of per-node sequences agree — i.e. iff
 // the encodings are identical — up to a ~2^-64 accidental collision, so
 // the mixed hash can serve directly as the census key.
+//
+// On an edge-typed graph with m incidence types the per-node sequence
+// has k·m typed degrees, t[l·m+c] for neighbour slot l over incidence
+// code c, and the exponent of t[i] is i+1. With m = 1 this is the
+// formula above: untyped keys do not depend on the generalisation.
 
 // hashSeed seeds the deterministic generation of per-label bases. Bases
 // are fixed across runs so feature keys are stable artifacts.
@@ -40,21 +45,21 @@ func splitmix64(x uint64) uint64 {
 }
 
 // powerTable precomputes b_l^i for every label slot l and exponent
-// i in 0..k, where k is the number of label slots, along with the
-// per-label salts used by the mixed finalisation.
+// i in 0..k·m, where k is the number of label slots and m the number of
+// incidence types, along with the per-label salts used by the mixed
+// finalisation.
 type powerTable struct {
-	k    int
 	pow  [][]uint64 // pow[l][i] = base_l^i mod 2^64
 	salt []uint64   // salt[l] xor-ed into raw values before mixing
 }
 
-func newPowerTable(k int) *powerTable {
-	t := &powerTable{k: k, pow: make([][]uint64, k), salt: make([]uint64, k)}
+func newPowerTable(k, m int) *powerTable {
+	t := &powerTable{pow: make([][]uint64, k), salt: make([]uint64, k)}
 	for l := 0; l < k; l++ {
 		base := splitmix64(hashSeed+uint64(l)) | 1 // odd => full period mod 2^64
-		row := make([]uint64, k+1)
+		row := make([]uint64, k*m+1)
 		row[0] = 1
-		for i := 1; i <= k; i++ {
+		for i := 1; i <= k*m; i++ {
 			row[i] = row[i-1] * base
 		}
 		t.pow[l] = row
@@ -63,11 +68,11 @@ func newPowerTable(k int) *powerTable {
 	return t
 }
 
-// term returns the raw rolling-value contribution of one unit of
-// t_{neighbor+1} for a node with label slot nodeLabel, i.e.
-// b_{nodeLabel}^{neighborLabel+1}.
-func (t *powerTable) term(nodeLabel, neighborLabel int32) uint64 {
-	return t.pow[nodeLabel][neighborLabel+1]
+// term returns the raw rolling-value contribution of one unit in typed
+// degree column col (the neighbour's label slot when untyped) for a node
+// with label slot nodeLabel, i.e. b_{nodeLabel}^{col+1}.
+func (t *powerTable) term(nodeLabel, col int32) uint64 {
+	return t.pow[nodeLabel][col+1]
 }
 
 // mix finalises a node's raw rolling value into its contribution to the
@@ -81,15 +86,13 @@ func (t *powerTable) mix(raw uint64, nodeLabel int32) uint64 {
 // tests can verify that incremental maintenance matches a from-scratch
 // computation.
 func (t *powerTable) hashSequence(s Sequence) uint64 {
-	stride := s.K + 1
 	var h uint64
 	for n := 0; n < s.NumNodes(); n++ {
-		row := s.Values[n*stride : (n+1)*stride]
+		row := s.Node(n)
 		var raw uint64
-		for l := int32(0); l < int32(s.K); l++ {
-			c := row[1+l]
+		for col, c := range row[1:] {
 			if c != 0 {
-				raw += uint64(c) * t.term(row[0], l)
+				raw += uint64(c) * t.term(row[0], int32(col))
 			}
 		}
 		h += t.mix(raw, row[0])

@@ -39,7 +39,7 @@ func TestHashDistinguishesLinearCollisions(t *testing.T) {
 	// claw apart from a path when all nodes share one label: both have
 	// typed-degree multiset sums 1+1+1+3 = 1+1+2+2. The mixed hash must
 	// distinguish them.
-	pows := newPowerTable(1)
+	pows := newPowerTable(1, 1)
 	claw := Sequence{K: 1, Values: []int32{0, 3, 0, 1, 0, 1, 0, 1}}
 	path := Sequence{K: 1, Values: []int32{0, 2, 0, 2, 0, 1, 0, 1}}
 	if pows.hashSequence(claw) == pows.hashSequence(path) {
@@ -49,7 +49,7 @@ func TestHashDistinguishesLinearCollisions(t *testing.T) {
 
 func TestHashLabelSensitivity(t *testing.T) {
 	// Same shape, different node labels must hash differently.
-	pows := newPowerTable(2)
+	pows := newPowerTable(2, 1)
 	e1 := Sequence{K: 2, Values: []int32{0, 0, 1, 1, 1, 0}} // a-b edge
 	e2 := Sequence{K: 2, Values: []int32{0, 1, 0, 0, 0, 1}} // a-a edge... wait, keep simple:
 	if pows.hashSequence(e1) == pows.hashSequence(e2) {

@@ -61,7 +61,12 @@ type FeatureRow struct {
 
 // NewFeatureSet packages censuses and their vocabulary for
 // serialisation, decoding every vocabulary key through the extractor.
+// Typed extractors are refused (graph.ErrEdgeTyped): the format records
+// no incidence count, so typed sequences would be misread.
 func NewFeatureSet(ex *Extractor, censuses []*Census, vocab *Vocabulary) (*FeatureSet, error) {
+	if err := ex.Graph().RequireUntyped("core: feature set"); err != nil {
+		return nil, err
+	}
 	opts := ex.Options()
 	fs := &FeatureSet{
 		MaxEdges:      opts.MaxEdges,
@@ -251,8 +256,12 @@ func LoadFeatureSetSnapshot(st *store.Store) (*FeatureSet, uint64, error) {
 
 // SaveGraphSnapshot writes g into st as the next checksummed "graph"
 // generation; the payload is the TSV exchange format, so a snapshot
-// stays readable by every existing tool.
+// stays readable by every existing tool. Typed graphs are refused
+// (graph.ErrEdgeTyped) before anything is written.
 func SaveGraphSnapshot(st *store.Store, g *graph.Graph) (uint64, error) {
+	if err := g.RequireUntyped("core: graph snapshot"); err != nil {
+		return 0, err
+	}
 	var buf bytes.Buffer
 	if err := graph.WriteTSV(&buf, g); err != nil {
 		return 0, err

@@ -88,7 +88,9 @@ func LoadGraphSnapshotMapped(st *store.Store) (*graph.Graph, uint64, error) {
 // "graphbin" generation. Writing both keeps the two kinds' generation
 // clocks advancing together, so LoadGraphSnapshotAuto — and older
 // tooling that only understands TSV — both observe the rotation. The
-// returned generation is the binary one.
+// returned generation is the binary one. Typed graphs are refused
+// (graph.ErrEdgeTyped) by SaveGraphSnapshot, before either generation
+// is written.
 func SaveGraphSnapshots(st *store.Store, g *graph.Graph) (uint64, error) {
 	if _, err := SaveGraphSnapshot(st, g); err != nil {
 		return 0, err

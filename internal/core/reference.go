@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"hsgf/internal/graph"
@@ -17,13 +18,21 @@ import (
 //
 // The result maps the canonical sequence rendering (label slots and counts
 // joined by commas) to occurrence counts. opts.KeyMode and
-// opts.DisableLeafBatching are ignored.
+// opts.DisableLeafBatching are ignored. On a typed graph subgraphs are
+// weakly connected edge sets and sequences count typed incidences.
 func ReferenceCensus(g *graph.Graph, root graph.NodeID, opts Options) map[string]int64 {
 	k := g.NumLabels()
-	maskSlot := graph.Label(-1)
+	maskSlot := int32(-1)
 	if opts.MaskRootLabel {
-		maskSlot = graph.Label(k)
+		maskSlot = int32(k)
 		k++
+	}
+	m := g.NumIncidenceTypes()
+	slot := func(v graph.NodeID) int32 {
+		if v == root && maskSlot >= 0 {
+			return maskSlot
+		}
+		return int32(g.Label(v))
 	}
 	dmax := opts.MaxDegree
 	if dmax <= 0 {
@@ -47,18 +56,7 @@ func ReferenceCensus(g *graph.Graph, root graph.NodeID, opts Options) map[string
 			return
 		}
 		seen[key] = true
-
-		nodeList := make([]graph.NodeID, 0, len(nodes))
-		for v := range nodes {
-			nodeList = append(nodeList, v)
-		}
-		edges := make([][2]graph.NodeID, len(edgeIDs))
-		for i, id := range edgeIDs {
-			a, b := g.EdgeEndpoints(id)
-			edges[i] = [2]graph.NodeID{a, b}
-		}
-		s := SequenceOf(g, nodeList, edges, k, root, maskSlot)
-		counts[canonicalKey(s)]++
+		counts[canonicalKey(edgeSetSequence(g, edgeIDs, k, m, slot))]++
 
 		if len(edgeIDs) == opts.MaxEdges {
 			return
@@ -102,6 +100,34 @@ func ReferenceCensus(g *graph.Graph, root graph.NodeID, opts Options) map[string
 	return counts
 }
 
+// edgeSetSequence encodes an explicit edge set from scratch: each edge
+// adds one unit at each endpoint, in the column of (other endpoint's
+// slot, incidence code seen from this endpoint).
+func edgeSetSequence(g *graph.Graph, edgeIDs []graph.EdgeID, k, m int, slot func(graph.NodeID) int32) Sequence {
+	stride := 1 + k*m
+	pos := make(map[graph.NodeID]int, len(edgeIDs)+1)
+	var vals []int32
+	at := func(v graph.NodeID) int {
+		i, ok := pos[v]
+		if !ok {
+			i = len(pos)
+			pos[v] = i
+			vals = append(vals, make([]int32, stride)...)
+			vals[i*stride] = slot(v)
+		}
+		return i
+	}
+	for _, id := range edgeIDs {
+		a, b := g.EdgeEndpoints(id)
+		ia, ib := at(a), at(b)
+		vals[ia*stride+1+int(slot(b))*m+int(g.IncidenceCode(id, a))]++
+		vals[ib*stride+1+int(slot(a))*m+int(g.IncidenceCode(id, b))]++
+	}
+	s := Sequence{K: k, M: m, Values: vals}
+	s.normalize()
+	return s
+}
+
 func edgeSetKey(ids []graph.EdgeID) string {
 	sorted := append([]graph.EdgeID(nil), ids...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
@@ -115,18 +141,19 @@ func edgeSetKey(ids []graph.EdgeID) string {
 // canonicalKey renders a canonical sequence as an alphabet-independent
 // comparison key.
 func canonicalKey(s Sequence) string {
-	var b strings.Builder
+	buf := make([]byte, 0, 3*len(s.Values))
 	for i, v := range s.Values {
 		if i > 0 {
-			b.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		fmt.Fprintf(&b, "%d", v)
+		buf = strconv.AppendInt(buf, int64(v), 10)
 	}
-	return b.String()
+	return string(buf)
 }
 
 // CanonicalCounts re-keys a census by the alphabet-independent canonical
-// rendering of each encoding, using the extractor's decode table. It is
+// rendering of each encoding (on a typed graph its 1+k·m values per
+// node), using the extractor's decode table. It is
 // the bridge between the optimised census and the reference enumerator in
 // tests, and a convenient stable representation for serialization.
 func CanonicalCounts(e *Extractor, c *Census) (map[string]int64, error) {

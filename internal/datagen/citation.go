@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"hsgf/internal/graph"
-	"hsgf/internal/typed"
 )
 
 // Citation-role identifiers for the directed-features experiment.
@@ -58,8 +57,8 @@ func DefaultCitationConfig() CitationConfig {
 // classics high in-degree, regulars neither. An undirected census sees
 // only total degrees, which surveys and classics share by construction.
 type CitationNetwork struct {
-	Graph  *typed.Graph
-	Roles  []int // role per paper, aligned with node ids
+	Graph  *graph.Graph // directed, edge-typed
+	Roles  []int        // role per paper, aligned with node ids
 	Config CitationConfig
 }
 
@@ -73,7 +72,7 @@ func GenerateCitation(cfg CitationConfig) (*CitationNetwork, error) {
 		return nil, fmt.Errorf("datagen: invalid role fractions %v + %v", cfg.SurveyFrac, cfg.ClassicFrac)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	b := typed.NewBuilder(true)
+	b := graph.NewTypedBuilder(true)
 	if err := b.DeclareNodeLabels("paper"); err != nil {
 		return nil, err
 	}

@@ -8,7 +8,6 @@ import (
 	"hsgf/internal/datagen"
 	"hsgf/internal/graph"
 	"hsgf/internal/ml"
-	"hsgf/internal/typed"
 )
 
 // DirectedConfig parameterises the directed-features experiment that
@@ -87,7 +86,7 @@ func RunDirected(cfg DirectedConfig) (*DirectedResult, error) {
 	}
 
 	// Directed (typed) features.
-	tex, err := typed.NewExtractor(net.Graph, typed.Options{MaxEdges: cfg.MaxEdges})
+	tex, err := core.NewExtractor(net.Graph, core.Options{MaxEdges: cfg.MaxEdges})
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +118,7 @@ func RunDirected(cfg DirectedConfig) (*DirectedResult, error) {
 	}
 
 	typedScores, err := evalFamily(func(trainIdx []int) [][]float64 {
-		return typedRows(typedCensuses, trainIdx)
+		return subgraphRows(typedCensuses, trainIdx)
 	})
 	if err != nil {
 		return nil, err
@@ -142,43 +141,4 @@ func RunDirected(cfg DirectedConfig) (*DirectedResult, error) {
 		SampleSize:   len(nodes),
 		NetworkEdges: net.Graph.NumEdges(),
 	}, nil
-}
-
-// typedRows assembles the typed design matrix with a train-row
-// vocabulary, mirroring subgraphRows for typed censuses.
-func typedRows(censuses []*typed.Census, trainIdx []int) [][]float64 {
-	index := make(map[uint64]int)
-	for _, r := range trainIdx {
-		if censuses[r] == nil {
-			continue
-		}
-		keys := make([]uint64, 0, len(censuses[r].Counts))
-		for k := range censuses[r].Counts {
-			keys = append(keys, k)
-		}
-		// Deterministic insertion order.
-		for i := 1; i < len(keys); i++ {
-			for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-				keys[j], keys[j-1] = keys[j-1], keys[j]
-			}
-		}
-		for _, k := range keys {
-			if _, ok := index[k]; !ok {
-				index[k] = len(index)
-			}
-		}
-	}
-	rows := make([][]float64, len(censuses))
-	for i, c := range censuses {
-		row := make([]float64, len(index))
-		if c != nil {
-			for k, n := range c.Counts {
-				if col, ok := index[k]; ok {
-					row[col] = float64(n)
-				}
-			}
-		}
-		rows[i] = row
-	}
-	return rows
 }

@@ -76,8 +76,9 @@ func TestCitationNetworkRoles(t *testing.T) {
 			if r != role {
 				continue
 			}
-			for _, c := range net.Graph.IncidenceCodes(graph.NodeID(i)) {
-				if c%2 == 0 { // outgoing
+			v := graph.NodeID(i)
+			for _, e := range net.Graph.IncidentEdges(v) {
+				if net.Graph.IncidenceCode(e, v)%2 == 0 { // outgoing
 					sum++
 				}
 			}

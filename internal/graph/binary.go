@@ -71,8 +71,12 @@ func align8(off int) int {
 // offset within the final file at which the payload's first byte will
 // land (see store.PayloadOffset); every array section is padded so its
 // file offset — and therefore its address in a page-aligned mapping —
-// is 8-byte aligned. Pass 0 for a standalone payload.
+// is 8-byte aligned. Pass 0 for a standalone payload. The format has no
+// edge-type section, so typed graphs are refused (ErrEdgeTyped).
 func EncodeBinary(g *Graph, fileBase int) ([]byte, error) {
+	if err := g.RequireUntyped("graph: binary encoding"); err != nil {
+		return nil, err
+	}
 	n, m, k := g.NumNodes(), g.NumEdges(), g.NumLabels()
 	if n > math.MaxInt32 || m > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: %d nodes / %d edges exceed the int32 binary format bounds", n, m)

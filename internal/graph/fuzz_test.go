@@ -15,6 +15,12 @@ func FuzzReadTSV(f *testing.F) {
 	f.Add("n\t\n")
 	f.Add("x\n")
 	f.Add(strings.Repeat("n\ta\n", 50) + "e\t0\t49\n")
+	// Typed format: directed, multiplex, antiparallel arcs, and a type
+	// record after a node record (which must be rejected).
+	f.Add("t\tdirected\nn\tp\nn\tp\nn\ta\ne\t1\t0\tcites\ne\t2\t0\twrote\n")
+	f.Add("# multiplex\nt\tundirected\nn\tp\tbob\nn\tp\ne\t0\t1\tfriend\ne\t1\t0\tcolleague\ne\t0\t1\tfriend\n")
+	f.Add("t\tdirected\nn\ta\nn\ta\ne\t0\t1\tx\ne\t1\t0\tx\n")
+	f.Add("n\ta\nt\tdirected\nn\ta\ne\t0\t1\tx\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ReadTSV(strings.NewReader(input))
 		if err != nil {
@@ -31,7 +37,8 @@ func FuzzReadTSV(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip rejected: %v", err)
 		}
-		if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
+		if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() ||
+			g2.Typed() != g.Typed() || g2.Directed() != g.Directed() {
 			t.Fatalf("round trip changed shape: %v vs %v", g2, g)
 		}
 	})

@@ -8,7 +8,9 @@
 // maps small integer Label values to human-readable names.
 //
 // Graphs are undirected and contain no self loops or parallel edges,
-// matching the model of Spitz et al. (GRADES-NDA'18), §3.
+// matching the model of Spitz et al. (GRADES-NDA'18), §3. A graph may
+// additionally carry an edge-type section — edge labels and directions,
+// the paper's §5 extension — see TypedBuilder.
 package graph
 
 import (
@@ -45,6 +47,13 @@ type Graph struct {
 
 	alphabet *Alphabet
 	numEdges int
+
+	// Optional edge-type section (typed.go), set only by TypedBuilder:
+	// the label of each edge in edgeAlpha, and whether edges are arcs
+	// (ends then holds source, target). edgeAlpha == nil means untyped.
+	edgeLabels []Label
+	edgeAlpha  *Alphabet
+	directed   bool
 
 	// backing retains the memory that aliased CSR slices point into (the
 	// read-only mapping on the zero-copy load path); see PinBacking.
@@ -169,29 +178,41 @@ func (g *Graph) IncidentEdges(v NodeID) []EdgeID {
 	return g.adjEdge[g.offsets[v]:g.offsets[v+1]]
 }
 
-// EdgeEndpoints returns the two endpoints of edge e, smaller NodeID first.
+// EdgeEndpoints returns the two endpoints of edge e, smaller NodeID first
+// — or (source, target) for an arc of a directed graph.
 func (g *Graph) EdgeEndpoints(e EdgeID) (NodeID, NodeID) {
 	return g.ends[2*e], g.ends[2*e+1]
 }
 
-// HasEdge reports whether nodes u and v are adjacent. It runs in
-// O(log degree(u)) time.
+// HasEdge reports whether nodes u and v are adjacent (by an edge of any
+// label or direction). It runs in O(log degree(u)) time on an untyped
+// graph, plus the length of v's label run at u on a typed one.
 func (g *Graph) HasEdge(u, v NodeID) bool {
 	if u == v {
 		return false
 	}
 	// Search within the label run of v's label, since adjacency is sorted
-	// by (label, id).
+	// by (label, id) — or by (label, code, id) when typed, where the run
+	// is scanned instead.
 	lv := g.labels[v]
 	adj := g.Neighbors(u)
+	typed := g.Typed()
 	i := sort.Search(len(adj), func(i int) bool {
 		w := adj[i]
 		lw := g.labels[w]
 		if lw != lv {
 			return lw > lv
 		}
-		return w >= v
+		return typed || w >= v
 	})
+	if typed {
+		for ; i < len(adj) && g.labels[adj[i]] == lv; i++ {
+			if adj[i] == v {
+				return true
+			}
+		}
+		return false
+	}
 	return i < len(adj) && adj[i] == v
 }
 
@@ -269,8 +290,9 @@ func (g *Graph) Edges(fn func(u, v NodeID) bool) {
 
 // Validate checks internal invariants: offset monotonicity, adjacency
 // symmetry, absence of self loops, per-node (label, id) sort order, and
-// absence of duplicate edges. It is intended for tests and for graphs
-// deserialized from external input.
+// absence of duplicate edges — or, on a typed graph, the typed adjacency
+// order and edge-type section (see validateTyped). It is intended for
+// tests and for graphs deserialized from external input.
 func (g *Graph) Validate() error {
 	n := g.NumNodes()
 	if len(g.offsets) != n+1 {
@@ -295,6 +317,9 @@ func (g *Graph) Validate() error {
 			if int(w) < 0 || int(w) >= n {
 				return fmt.Errorf("graph: node %d has out-of-range neighbour %d", v, w)
 			}
+			if g.Typed() {
+				continue // order and symmetry checked by validateTyped
+			}
 			if i > 0 {
 				p := adj[i-1]
 				if g.labels[p] > g.labels[w] || (g.labels[p] == g.labels[w] && p >= w) {
@@ -310,6 +335,9 @@ func (g *Graph) Validate() error {
 		if int(l) < 0 || int(l) >= g.NumLabels() {
 			return fmt.Errorf("graph: label %d out of alphabet range %d", l, g.NumLabels())
 		}
+	}
+	if g.Typed() {
+		return g.validateTyped()
 	}
 	return nil
 }

@@ -425,7 +425,12 @@ func (o *Overlay) Relabel(v NodeID, labelName string) error {
 }
 
 // Apply dispatches one Mutation. On error the overlay is unchanged.
+// Mutations carry no edge label or direction, so an overlay over a
+// typed base refuses them (ErrEdgeTyped).
 func (o *Overlay) Apply(m Mutation) error {
+	if err := o.base.RequireUntyped("graph: overlay"); err != nil {
+		return err
+	}
 	switch m.Op {
 	case OpAddNode:
 		_, err := o.AddNode(m.Label, m.Name)
@@ -457,8 +462,12 @@ func (o *Overlay) Touched() []NodeID {
 }
 
 // Materialize freezes the combined state into a fresh immutable Graph
-// with the base's alphabet. The overlay remains usable afterwards.
+// with the base's alphabet. The overlay remains usable afterwards. The
+// result is untyped, so a typed base is refused (ErrEdgeTyped).
 func (o *Overlay) Materialize() (*Graph, error) {
+	if err := o.base.RequireUntyped("graph: overlay"); err != nil {
+		return nil, err
+	}
 	b := NewBuilderWithAlphabet(o.base.Alphabet())
 	for v := range o.labels {
 		if _, err := b.AddLabeledNode(o.labels[v]); err != nil {

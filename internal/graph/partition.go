@@ -95,8 +95,12 @@ type PartitionConfig struct {
 // all nodes within HaloDepth hops of any of them. The union of
 // OwnedRoots across shards is exactly the node set of g; halo nodes are
 // duplicated across shards by design — that duplication is what keeps
-// census extraction local.
+// census extraction local. Shard graphs are untyped, so typed graphs are
+// refused (ErrEdgeTyped).
 func PartitionByRoot(g *Graph, cfg PartitionConfig) ([]*ShardPlan, error) {
+	if err := g.RequireUntyped("graph: partition"); err != nil {
+		return nil, err
+	}
 	if cfg.NumShards < 1 {
 		return nil, fmt.Errorf("graph: NumShards must be >= 1, got %d", cfg.NumShards)
 	}

@@ -69,8 +69,11 @@ type ShardDelta struct {
 // PartitionByRoot + Induced over the same inputs (members ascending by
 // global ID), so a ShardMap constructed from the partition-time graph
 // speaks the same local IDs as the manifest written next to the shard
-// snapshots.
+// snapshots. Like PartitionByRoot it refuses typed graphs.
 func NewShardMap(g *Graph, cfg PartitionConfig) (*ShardMap, error) {
+	if err := g.RequireUntyped("graph: shard map"); err != nil {
+		return nil, err
+	}
 	if cfg.NumShards < 1 {
 		return nil, fmt.Errorf("graph: NumShards must be >= 1, got %d", cfg.NumShards)
 	}

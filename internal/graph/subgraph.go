@@ -4,7 +4,9 @@ import "sort"
 
 // Induced returns the subgraph of g induced by the given node set, together
 // with a mapping from new IDs to original IDs. Duplicate input nodes are
-// collapsed. The induced graph shares g's alphabet.
+// collapsed. The induced graph shares g's alphabet. It is untyped: pass
+// an untyped g (PartitionByRoot, its one in-tree caller with arbitrary
+// input, refuses typed graphs first).
 func Induced(g *Graph, nodes []NodeID) (*Graph, []NodeID) {
 	uniq := make([]NodeID, 0, len(nodes))
 	seen := make(map[NodeID]struct{}, len(nodes))

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -434,6 +435,42 @@ func TestHedgedRequestBeatsSlowReplica(t *testing.T) {
 	}
 	if rt.stats.hedges.Load() == 0 || rt.stats.hedgeWins.Load() == 0 {
 		t.Errorf("hedges=%d hedgeWins=%d, want both > 0", rt.stats.hedges.Load(), rt.stats.hedgeWins.Load())
+	}
+}
+
+// TestHedgeLosesToLatePrimary: the hedge fires, but the primary answers
+// before the hedge leg does; that is a hedge, not a hedge win.
+func TestHedgeLosesToLatePrimary(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	var order atomic.Int32 // arrival order across both replicas
+	hook := func(w http.ResponseWriter, call int) bool {
+		if order.Add(1) == 1 {
+			time.Sleep(100 * time.Millisecond) // the primary, past the hedge delay
+			return false
+		}
+		<-release // the hedge leg parks until the test ends
+		w.WriteHeader(http.StatusInternalServerError)
+		return true
+	}
+	a, b := echoBackend(t, hook), echoBackend(t, hook)
+
+	rt := newTestRouter(t, Config{
+		Manifest:      identityManifest(10),
+		Shards:        [][]string{{a.URL, b.URL}},
+		HedgeDelay:    5 * time.Millisecond,
+		HedgeMinDelay: time.Millisecond,
+		ShardTimeout:  10 * time.Second,
+	})
+	var got FeaturesResponse
+	if w := routerDo(t, rt, http.MethodPost, "/v1/features", featuresBody([]int64{1, 2}), &got); w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	if got.Degraded {
+		t.Fatal("primary answer degraded")
+	}
+	if h, wins := rt.stats.hedges.Load(), rt.stats.hedgeWins.Load(); h != 1 || wins != 0 {
+		t.Errorf("hedges=%d hedgeWins=%d, want 1 and 0", h, wins)
 	}
 }
 

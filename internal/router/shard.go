@@ -233,22 +233,23 @@ func (s *Server) hedgedCall(ctx context.Context, sh *shard, body []byte) (*serve
 	primary := reps[int(sh.rrNext())%len(reps)]
 
 	type legResult struct {
-		fr  *serve.FeaturesResponse
-		err error
+		fr    *serve.FeaturesResponse
+		err   error
+		hedge bool // the leg the hedge timer launched
 	}
 	ctx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
 
 	results := make(chan legResult, 2)
-	launch := func(rep *replica) {
+	launch := func(rep *replica, hedge bool) {
 		start := time.Now()
 		fr, err := s.attemptOnce(ctx, rep, body)
 		if err == nil {
 			sh.lat.observe(time.Since(start))
 		}
-		results <- legResult{fr, err}
+		results <- legResult{fr, err, hedge}
 	}
-	go launch(primary)
+	go launch(primary, false)
 
 	legs := 1
 	var hedgeTimer *time.Timer
@@ -270,10 +271,12 @@ func (s *Server) hedgedCall(ctx context.Context, sh *shard, body []byte) (*serve
 			}
 			s.stats.hedges.Add(1)
 			legs++
-			go launch(alts[int(sh.rrNext())%len(alts)])
+			go launch(alts[int(sh.rrNext())%len(alts)], true)
 		case res := <-results:
 			if res.err == nil {
-				if legs > 1 {
+				// A win is the hedge leg answering first — not the
+				// primary answering after the hedge fired.
+				if res.hedge {
 					s.stats.hedgeWins.Add(1)
 				}
 				return res.fr, nil
@@ -291,7 +294,7 @@ func (s *Server) hedgedCall(ctx context.Context, sh *shard, body []byte) (*serve
 					if alts := sh.healthyReplicas(primary); len(alts) > 0 {
 						s.stats.failovers.Add(1)
 						legs++
-						go launch(alts[int(sh.rrNext())%len(alts)])
+						go launch(alts[int(sh.rrNext())%len(alts)], false)
 						continue
 					}
 				}

@@ -14,7 +14,7 @@ type routerStats struct {
 	shardCalls        atomic.Int64 // successful shard calls
 	retries           atomic.Int64 // shard-call re-attempts (attempt > 1)
 	hedges            atomic.Int64 // hedge legs fired on the p95 timer
-	hedgeWins         atomic.Int64 // batches resolved by a non-primary leg
+	hedgeWins         atomic.Int64 // shard calls the hedge leg answered before the primary
 	failovers         atomic.Int64 // immediate failover legs after primary failure
 	breakerRejects    atomic.Int64 // shard calls short-circuited by an open breaker
 	unavailableRows   atomic.Int64 // rows degraded shard-unavailable
