@@ -1,12 +1,12 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all check fmt-check vet build test race fuzz-smoke serve-smoke reload-smoke router-smoke ingest-smoke fleet-ingest-smoke embed-bench-smoke bench-selftest bench bench-all bench-smoke bench-scale bench-scale-smoke clean
+.PHONY: all check fmt-check vet build test race fuzz-smoke serve-smoke reload-smoke router-smoke ingest-smoke fleet-ingest-smoke bench-selftest bench bench-all bench-smoke bench-scale clean
 
 all: check
 
 # The full tier-1 gate: what CI runs.
-check: fmt-check vet build test race fuzz-smoke serve-smoke reload-smoke router-smoke ingest-smoke fleet-ingest-smoke embed-bench-smoke bench-selftest
+check: fmt-check vet build test race fuzz-smoke serve-smoke reload-smoke router-smoke ingest-smoke fleet-ingest-smoke bench-selftest
 
 # gofmt gate: fails listing any file that is not gofmt-clean.
 fmt-check:
@@ -74,28 +74,22 @@ ingest-smoke:
 fleet-ingest-smoke:
 	$(GO) test -race -tags smoke -run TestFleetIngestSmoke -v -timeout 10m ./cmd/hsgf-router
 
-# Embedding-engine smoke: tiny-graph corpus parity across worker
-# counts, finite Hogwild output at Workers=2, and the walk-arena
-# allocation bound — the properties timing benchmarks cannot assert.
-embed-bench-smoke:
-	$(GO) test -tags smoke -run TestEmbedBenchSmoke -v ./cmd/embedbench
-
 # The end-to-end benchmark (perfbench/, see BENCHMARK.json) is its own Go
 # module, so ./... above never compiles it; this vets and runs its
 # self-test against the current tree (~15 s).
 bench-selftest:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Tracked benchmarks: writes BENCH_census.json (ns/root, allocs/root,
-# subgraphs/sec for the census hot path), BENCH_embed.json (walks/sec,
-# updates/sec, speedup vs Workers=1 for the embedding engine) and
-# BENCH_ingest.json (durable mutations/sec, dirty-set sizes,
-# ingest-to-serve p50/p99 for the streaming-ingest path). Diff these
-# files across PRs to track the hot paths.
+# Tracked benchmarks (cmd/bench): writes BENCH_census.json (ns/root,
+# allocs/root, subgraphs/sec for the census hot path, serve p50/p99),
+# BENCH_embed.json (walks/sec, updates/sec, speedup vs Workers=1 for the
+# embedding engine) and BENCH_ingest.json (durable mutations/sec,
+# dirty-set sizes, ingest-to-serve p50/p99 for the streaming-ingest
+# path). Diff these files across changes to track the hot paths.
 bench:
-	$(GO) run ./cmd/censusbench -o BENCH_census.json
-	$(GO) run ./cmd/embedbench -o BENCH_embed.json
-	$(GO) run ./cmd/ingestbench -o BENCH_ingest.json
+	$(GO) run ./cmd/bench census
+	$(GO) run ./cmd/bench embed
+	$(GO) run ./cmd/bench ingest
 
 # Full benchmark sweep across every package.
 bench-all:
@@ -113,17 +107,13 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/embed
 	$(GO) test -run TestWarmServeAllocBudget -count=1 -v ./internal/serve
 
-# Tracked scale ladder: hierarchical graphs at 10^4/10^5/10^6 nodes,
-# measuring build time, binary-vs-TSV snapshot encode/decode, bytes per
-# edge, census throughput, serve p50/p99, and peak RSS per rung into
-# BENCH_scale.json. Diff it across PRs to track how the system scales.
+# Tracked scale ladder (cmd/bench): hierarchical graphs at
+# 10^4/10^5/10^6 nodes, measuring build time, binary-vs-TSV snapshot
+# encode/decode, bytes per edge, census throughput, serve p50/p99, and
+# peak RSS per rung into BENCH_scale.json. Diff it across changes to
+# track how the system scales.
 bench-scale:
-	$(GO) run ./cmd/scalebench -o BENCH_scale.json
-
-# CI rung: the 10^4 step only, written to a scratch path so the
-# committed full ladder is never overwritten by a smoke run.
-bench-scale-smoke:
-	$(GO) run ./cmd/scalebench -rungs 10000 -census-roots 128 -serve-seconds 0.5 -o BENCH_scale.smoke.json
+	$(GO) run ./cmd/bench scale
 
 clean:
 	$(GO) clean ./...

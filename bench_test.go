@@ -7,8 +7,8 @@
 //	go test -bench=. -benchmem
 //
 // sweep reproduces the comparison shape of the whole evaluation. The
-// full-scale tables are produced by the cmd/rankbench, cmd/labelbench,
-// cmd/runtimebench and cmd/isoaudit tools.
+// full-scale tables are produced by cmd/reproduce, one stage per
+// artifact (-only selects stages).
 package hsgf_test
 
 import (
@@ -138,7 +138,7 @@ func BenchmarkTable2DmaxSweep(b *testing.B) {
 	var pts []experiments.CurvePoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		pts, err = experiments.DmaxSweep(g, cfg)
+		pts, err = experiments.DmaxSweep(context.Background(), g, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -300,7 +300,7 @@ func BenchmarkAblationEmaxQuality(b *testing.B) {
 	var pts []experiments.CurvePoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		pts, err = experiments.EmaxSweep(g, cfg)
+		pts, err = experiments.EmaxSweep(context.Background(), g, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

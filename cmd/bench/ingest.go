@@ -1,23 +1,21 @@
-// Command ingestbench runs the tracked streaming-ingest benchmark: it
-// boots a WAL-backed ingest engine over the synthetic publication
-// network, drives a deterministic stream of mutation batches through
-// the full durable path — validate, WAL fsync, incremental dirty-ball
-// recompute, publish — and writes the results as JSON
-// (BENCH_ingest.json under `make bench`).
-//
-// The tracked numbers are mutations/sec and batches/sec of sustained
-// durable throughput, the ingest-to-serve latency distribution (p50/p99
-// from Apply entry to published state — what a client waits between ack
-// and readable freshness), the dirty-set sizes that make incremental
-// maintenance pay, and the measured speedup of a dirty-ball recompute
-// over a from-scratch CensusAll of the whole graph.
 package main
+
+// The ingest suite boots a WAL-backed ingest engine over the bench
+// graph and drives a deterministic stream of mutation batches through
+// the full durable path — validate, WAL fsync, incremental dirty-ball
+// recompute, publish. The tracked numbers are mutations/sec and
+// batches/sec of sustained durable throughput, the ingest-to-serve
+// latency distribution (p50/p99 from Apply entry to published state —
+// what a client waits between ack and readable freshness), the
+// dirty-set sizes that make incremental maintenance pay, and the
+// measured speedup of a dirty-ball recompute over a from-scratch
+// CensusAll of the whole graph. The same stream then runs through the
+// router's sequenced fan-out over an in-process follower fleet.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"math/rand"
@@ -25,12 +23,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"time"
 
 	"hsgf/internal/core"
-	"hsgf/internal/datagen"
 	"hsgf/internal/graph"
 	"hsgf/internal/ingest"
 	"hsgf/internal/router"
@@ -38,14 +34,17 @@ import (
 	"hsgf/internal/store"
 )
 
-type report struct {
-	Generated  string `json:"generated"`
-	GoVersion  string `json:"go_version"`
-	NumCPU     int    `json:"num_cpu"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	Nodes      int    `json:"graph_nodes"`
-	Edges      int    `json:"graph_edges"`
-	MaxEdges   int    `json:"emax"`
+const (
+	ingestEmax         = 2  // maximum edges per subgraph
+	ingestCompactEvery = 64 // WAL fold interval in batches
+	ingestFleetShards  = 2  // shards in the fleet-mode run
+)
+
+type ingestReport struct {
+	header
+	Nodes    int `json:"graph_nodes"`
+	Edges    int `json:"graph_edges"`
+	MaxEdges int `json:"emax"`
 
 	Batches         int     `json:"batches"`
 	Mutations       int     `json:"mutations"`
@@ -75,7 +74,7 @@ type report struct {
 	// Fleet is the same durable path through the full sequenced fan-out:
 	// router sequencer WAL fsync, per-shard sub-batch fan-out, and every
 	// replica's own WAL fsync + incremental recompute before the ack.
-	Fleet *fleetReport `json:"fleet,omitempty"`
+	Fleet *fleetReport `json:"fleet"`
 }
 
 // fleetReport tracks fleet-mode ingest: client-observed durable
@@ -92,24 +91,11 @@ type fleetReport struct {
 	AckP99MS        float64 `json:"ack_p99_ms"`
 }
 
-func benchGraph() (*graph.Graph, error) {
-	cfg := datagen.DefaultPublicationConfig()
-	cfg.Institutions = 40
-	cfg.Conferences = datagen.DefaultConferences[:3]
-	cfg.Years = []int{2010, 2011, 2012, 2013}
-	cfg.PapersPerConfYear = 25
-	cfg.ExternalPapers = 400
-	pub, err := datagen.GeneratePublication(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return pub.Graph, nil
-}
-
 // nextBatch builds a small valid batch against g: one new edge between
-// previously unconnected nodes, one relabel, and occasionally a new
-// node — the steady-state shape of a growing information network.
-func nextBatch(rng *rand.Rand, g *graph.Graph, k int) []graph.Mutation {
+// previously unconnected nodes, never one already in added (which it
+// extends), one relabel, and a new node every 8th batch — the
+// steady-state shape of a growing information network.
+func nextBatch(rng *rand.Rand, g *graph.Graph, added map[[2]graph.NodeID]bool, k int) []graph.Mutation {
 	labels := g.Alphabet().Names()
 	var muts []graph.Mutation
 	if k%8 == 0 {
@@ -118,7 +104,11 @@ func nextBatch(rng *rand.Rand, g *graph.Graph, k int) []graph.Mutation {
 	for {
 		u := graph.NodeID(rng.Intn(g.NumNodes()))
 		v := graph.NodeID(rng.Intn(g.NumNodes()))
-		if u != v && !g.HasEdge(u, v) {
+		if u > v {
+			u, v = v, u
+		}
+		if u != v && !g.HasEdge(u, v) && !added[[2]graph.NodeID{u, v}] {
+			added[[2]graph.NodeID{u, v}] = true
 			muts = append(muts, graph.Mutation{Op: graph.OpAddEdge, U: u, V: v})
 			break
 		}
@@ -130,43 +120,12 @@ func nextBatch(rng *rand.Rand, g *graph.Graph, k int) []graph.Mutation {
 	return muts
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "ingestbench:", err)
-	os.Exit(1)
-}
-
-// nextFleetBatch builds a valid batch against the static seed graph,
-// tracking edges added by earlier batches so no batch repeats one.
-func nextFleetBatch(rng *rand.Rand, g *graph.Graph, added map[[2]graph.NodeID]bool, k int) []serve.IngestMutation {
-	labels := g.Alphabet().Names()
-	var muts []serve.IngestMutation
-	if k%8 == 0 {
-		muts = append(muts, serve.IngestMutation{Op: "add_node", Label: labels[rng.Intn(len(labels))]})
-	}
-	for {
-		u := graph.NodeID(rng.Intn(g.NumNodes()))
-		v := graph.NodeID(rng.Intn(g.NumNodes()))
-		if u > v {
-			u, v = v, u
-		}
-		if u != v && !g.HasEdge(u, v) && !added[[2]graph.NodeID{u, v}] {
-			added[[2]graph.NodeID{u, v}] = true
-			muts = append(muts, serve.IngestMutation{Op: "add_edge", U: int64(u), V: int64(v)})
-			break
-		}
-	}
-	muts = append(muts, serve.IngestMutation{
-		Op: "relabel", U: int64(rng.Intn(g.NumNodes())),
-		Label: labels[rng.Intn(len(labels))],
-	})
-	return muts
-}
-
-// runFleetBench boots an in-process fleet — nShards follower ingest
-// daemons behind httptest listeners, fronted by a sequencing router —
-// and drives batches through POST /v1/ingest, measuring what a client
-// sees: durable, fully fan-out-confirmed acks.
-func runFleetBench(g *graph.Graph, opts core.Options, nShards, batches int) (*fleetReport, error) {
+// runFleetIngest boots an in-process fleet — nShards follower ingest
+// daemons behind httptest listeners, fronted by a sequencing router,
+// their stores and the sequencer log under dir — and drives batches
+// through POST /v1/ingest, measuring what a client sees: durable, fully
+// fan-out-confirmed acks.
+func runFleetIngest(dir string, g *graph.Graph, opts core.Options, nShards, batches int) (*fleetReport, error) {
 	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: nShards, HaloDepth: opts.MaxEdges})
 	if err != nil {
 		return nil, err
@@ -185,12 +144,7 @@ func runFleetBench(g *graph.Graph, opts core.Options, nShards, batches int) (*fl
 		}
 	}()
 	for _, p := range plans {
-		dir, err := os.MkdirTemp("", "ingestbench-fleet-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		st, err := store.Open(dir, store.Options{})
+		st, err := store.Open(filepath.Join(dir, fmt.Sprintf("shard-%03d", p.Shard)), store.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -209,15 +163,10 @@ func runFleetBench(g *graph.Graph, opts core.Options, nShards, batches int) (*fl
 		backends = append(backends, ts)
 		urls[p.Shard] = []string{ts.URL}
 	}
-	seqDir, err := os.MkdirTemp("", "ingestbench-seq-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(seqDir)
 	rt, err := router.New(router.Config{
 		Manifest:    router.BuildManifest(g.NumNodes(), opts.MaxEdges, plans),
 		Shards:      urls,
-		SeqLogPath:  filepath.Join(seqDir, "seq.wal"),
+		SeqLogPath:  filepath.Join(dir, "seq.wal"),
 		IngestGraph: g,
 	})
 	if err != nil {
@@ -233,10 +182,13 @@ func runFleetBench(g *graph.Graph, opts core.Options, nShards, batches int) (*fl
 	lat := make([]time.Duration, 0, batches)
 	start := time.Now()
 	for k := 0; k < batches; k++ {
-		body, err := json.Marshal(serve.IngestRequest{
-			BatchID:   fmt.Sprintf("fleet-bench-%d", k),
-			Mutations: nextFleetBatch(rng, g, added, k),
-		})
+		muts := nextBatch(rng, g, added, k)
+		rep.Mutations += len(muts)
+		req := serve.IngestRequest{BatchID: fmt.Sprintf("fleet-bench-%d", k)}
+		for _, m := range muts {
+			req.Mutations = append(req.Mutations, serve.IngestMutation{Op: m.Op.String(), U: int64(m.U), V: int64(m.V), Label: m.Label})
+		}
+		body, err := json.Marshal(req)
 		if err != nil {
 			return nil, err
 		}
@@ -254,13 +206,6 @@ func runFleetBench(g *graph.Graph, opts core.Options, nShards, batches int) (*fl
 	}
 	elapsed := time.Since(start)
 
-	rep.Mutations = 0
-	for k := 0; k < batches; k++ {
-		rep.Mutations += 2 // add_edge + relabel
-		if k%8 == 0 {
-			rep.Mutations++ // add_node
-		}
-	}
 	rep.BatchesPerSec = float64(batches) / elapsed.Seconds()
 	rep.MutationsPerSec = float64(rep.Mutations) / elapsed.Seconds()
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
@@ -269,60 +214,45 @@ func runFleetBench(g *graph.Graph, opts core.Options, nShards, batches int) (*fl
 	return rep, nil
 }
 
-func main() {
-	var (
-		out          = flag.String("o", "BENCH_ingest.json", "output path ('-' for stdout)")
-		batches      = flag.Int("batches", 200, "mutation batches to apply")
-		emax         = flag.Int("emax", 2, "maximum edges per subgraph")
-		compact      = flag.Int("compact-every", 64, "WAL fold interval in batches")
-		fleetShards  = flag.Int("fleet-shards", 2, "shards in the fleet-mode bench (0 disables fleet mode)")
-		fleetBatches = flag.Int("fleet-batches", 100, "batches to drive through the sequenced fan-out")
-	)
-	flag.Parse()
-
-	g, err := benchGraph()
+// runIngest applies batches mutation batches to one engine over g,
+// then fleetBatches through the fleet.
+func runIngest(g *graph.Graph, batches, fleetBatches int) (report, error) {
+	dir, err := os.MkdirTemp("", "bench-ingest-*")
 	if err != nil {
-		fail(err)
-	}
-	dir, err := os.MkdirTemp("", "ingestbench-*")
-	if err != nil {
-		fail(err)
+		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	st, err := store.Open(dir, store.Options{})
+	st, err := store.Open(filepath.Join(dir, "engine"), store.Options{})
 	if err != nil {
-		fail(err)
+		return nil, err
 	}
-	opts := core.Options{MaxEdges: *emax, MaskRootLabel: true}
-	eng, err := ingest.Open(ingest.Config{Store: st, Opts: opts, CompactEvery: *compact},
+	opts := core.Options{MaxEdges: ingestEmax, MaskRootLabel: true}
+	eng, err := ingest.Open(ingest.Config{Store: st, Opts: opts, CompactEvery: ingestCompactEvery},
 		func() (*graph.Graph, error) { return g, nil })
 	if err != nil {
-		fail(err)
+		return nil, err
 	}
 	defer eng.Close()
 
-	rep := report{
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		NumCPU:     runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Nodes:      g.NumNodes(),
-		Edges:      g.NumEdges(),
-		MaxEdges:   *emax,
-		Batches:    *batches,
+	rep := &ingestReport{
+		Nodes:    g.NumNodes(),
+		Edges:    g.NumEdges(),
+		MaxEdges: ingestEmax,
+		Batches:  batches,
 	}
 
 	rng := rand.New(rand.NewSource(1))
+	added := make(map[[2]graph.NodeID]bool)
 	ctx := context.Background()
-	lat := make([]time.Duration, 0, *batches)
+	lat := make([]time.Duration, 0, batches)
 	var totalDirty, totalMuts int
 	start := time.Now()
-	for k := 0; k < *batches; k++ {
+	for k := 0; k < batches; k++ {
 		cur, _, _, _, _ := eng.State()
-		muts := nextBatch(rng, cur, k)
+		muts := nextBatch(rng, cur, added, k)
 		res, err := eng.Apply(ctx, fmt.Sprintf("bench-%d", k), muts)
 		if err != nil {
-			fail(fmt.Errorf("batch %d: %w", k, err))
+			return nil, fmt.Errorf("batch %d: %w", k, err)
 		}
 		lat = append(lat, res.Elapsed)
 		totalDirty += len(res.DirtyRoots)
@@ -335,9 +265,9 @@ func main() {
 
 	final, _, _, _, _ := eng.State()
 	rep.Mutations = totalMuts
-	rep.BatchesPerSec = float64(*batches) / elapsed.Seconds()
+	rep.BatchesPerSec = float64(batches) / elapsed.Seconds()
 	rep.MutationsPerSec = float64(totalMuts) / elapsed.Seconds()
-	rep.MeanDirtyRoots = float64(totalDirty) / float64(*batches)
+	rep.MeanDirtyRoots = float64(totalDirty) / float64(batches)
 	rep.MeanDirtyFrac = rep.MeanDirtyRoots / float64(final.NumNodes())
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	rep.IngestToServeP50MS = float64(lat[len(lat)/2].Microseconds()) / 1000
@@ -350,7 +280,7 @@ func main() {
 	// maintenance — a full CensusAll over the final graph.
 	ex, err := core.NewExtractor(final, opts)
 	if err != nil {
-		fail(err)
+		return nil, err
 	}
 	roots := make([]graph.NodeID, final.NumNodes())
 	for i := range roots {
@@ -360,38 +290,14 @@ func main() {
 	ex.CensusAll(roots, 0)
 	rebuild := time.Since(rebuildStart)
 	rep.FullRebuildMS = float64(rebuild.Microseconds()) / 1000
-	meanApply := elapsed / time.Duration(*batches)
+	meanApply := elapsed / time.Duration(batches)
 	if meanApply > 0 {
 		rep.SpeedupVsRebuild = float64(rebuild) / float64(meanApply)
 	}
 
-	if *fleetShards > 0 && *fleetBatches > 0 {
-		rep.Fleet, err = runFleetBench(g, opts, *fleetShards, *fleetBatches)
-		if err != nil {
-			fail(fmt.Errorf("fleet bench: %w", err))
-		}
-	}
-
-	buf, err := json.MarshalIndent(rep, "", "  ")
+	rep.Fleet, err = runFleetIngest(filepath.Join(dir, "fleet"), g, opts, ingestFleetShards, fleetBatches)
 	if err != nil {
-		fail(err)
+		return nil, fmt.Errorf("fleet bench: %w", err)
 	}
-	buf = append(buf, '\n')
-	if *out == "-" {
-		os.Stdout.Write(buf)
-		return
-	}
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fail(err)
-	}
-	fmt.Fprintf(os.Stderr,
-		"ingestbench: %.0f mutations/sec, ingest-to-serve p50 %.2fms p99 %.2fms, mean dirty %.1f/%d roots, %.1fx vs full rebuild\n",
-		rep.MutationsPerSec, rep.IngestToServeP50MS, rep.IngestToServeP99MS,
-		rep.MeanDirtyRoots, final.NumNodes(), rep.SpeedupVsRebuild)
-	if rep.Fleet != nil {
-		fmt.Fprintf(os.Stderr,
-			"ingestbench: fleet (%d shards) %.0f mutations/sec, ack p50 %.2fms p99 %.2fms\n",
-			rep.Fleet.Shards, rep.Fleet.MutationsPerSec, rep.Fleet.AckP50MS, rep.Fleet.AckP99MS)
-	}
-	fmt.Fprintf(os.Stderr, "ingestbench: wrote %s\n", *out)
+	return rep, nil
 }

@@ -1,9 +1,9 @@
 // Tracked census micro-benchmarks over the synthetic publication
-// network (the paper's MAG stand-in, DESIGN.md §1). These are the
-// benchmarks behind `make bench` / BENCH_census.json: BenchmarkCensusRoot
-// measures the single-root hot path a serving daemon pays per request
-// row, BenchmarkCensusAll the parallel full-network extraction of the
-// reproduction pipeline. Both report allocations — the allocs/root
+// network (the paper's MAG stand-in, DESIGN.md §1). The census suite of
+// cmd/bench (`make bench`, BENCH_census.json) runs the same workloads on
+// the same graph: BenchmarkCensusRoot measures the single-root hot path
+// a serving daemon pays per request row, BenchmarkCensusAll the
+// parallel full-network extraction of the reproduction pipeline. Both report allocations — the allocs/root
 // trajectory is the tentpole metric of the zero-allocation census work.
 package core_test
 

@@ -1,8 +1,8 @@
 package embed
 
 // Tracked embedding benchmarks (`make bench-all`, exercised briefly by
-// `make bench-smoke`; cmd/embedbench runs the same workloads and writes
-// BENCH_embed.json). Sub-benchmarks sweep the worker count so scaling
+// `make bench-smoke`; the embed suite of cmd/bench runs the same
+// workloads and writes BENCH_embed.json). Sub-benchmarks sweep the worker count so scaling
 // and allocation discipline are visible in one -bench run.
 
 import (

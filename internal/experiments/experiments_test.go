@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -316,7 +317,7 @@ func TestRelabelFraction(t *testing.T) {
 func TestDmaxSweep(t *testing.T) {
 	g := tinyLabelGraph(t)
 	cfg := tinyLabelConfig()
-	pts, err := DmaxSweep(g, cfg)
+	pts, err := DmaxSweep(context.Background(), g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,6 +333,22 @@ func TestDmaxSweep(t *testing.T) {
 	WriteTable2(&buf, map[string][]CurvePoint{"LOAD": pts}, []string{"LOAD"})
 	if !strings.Contains(buf.String(), "LOAD") {
 		t.Error("table 2 rendering missing dataset")
+	}
+}
+
+func TestSweepsHonourCancellation(t *testing.T) {
+	g := tinyLabelGraph(t)
+	cfg := tinyLabelConfig()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, sweep := range map[string]func(context.Context, *graph.Graph, LabelConfig) ([]CurvePoint, error){
+		"dmax": DmaxSweep,
+		"emax": EmaxSweep,
+	} {
+		pts, err := sweep(ctx, g, cfg)
+		if !errors.Is(err, context.Canceled) || pts != nil {
+			t.Errorf("%s sweep under a cancelled context = %v, %v; want no points and context.Canceled", name, pts, err)
+		}
 	}
 }
 

@@ -450,12 +450,16 @@ func LabelRemovalCurves(ctx context.Context, g *graph.Graph, cfg LabelConfig) (m
 // features at each dmax percentile level, under a fixed 50/50 protocol
 // averaged over cfg.Repeats resamples. Levels at 100% on large dense
 // networks can be extremely slow — the exact effect the heuristic exists
-// to avoid — so callers may cap levels.
-func DmaxSweep(g *graph.Graph, cfg LabelConfig) ([]CurvePoint, error) {
+// to avoid — so callers may cap levels. ctx is checked before each
+// level; a cancelled sweep returns ctx.Err().
+func DmaxSweep(ctx context.Context, g *graph.Graph, cfg LabelConfig) ([]CurvePoint, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nodes, y := sampleNodes(g, cfg.PerLabel, rng)
 	var out []CurvePoint
 	for _, level := range cfg.DmaxLevels {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		dmax := 0
 		if level < 1 {
 			dmax = graph.DegreePercentile(g, level)
@@ -494,8 +498,9 @@ func DmaxSweep(g *graph.Graph, cfg LabelConfig) ([]CurvePoint, error) {
 // more discriminative features", traded against the roughly exponential
 // census cost. Fixed 50/50 protocol averaged over cfg.Repeats resamples;
 // the returned points carry emax in X and the census wall-clock share is
-// reported by the corresponding benchmark.
-func EmaxSweep(g *graph.Graph, cfg LabelConfig) ([]CurvePoint, error) {
+// reported by the corresponding benchmark. ctx is checked before each
+// level; a cancelled sweep returns ctx.Err().
+func EmaxSweep(ctx context.Context, g *graph.Graph, cfg LabelConfig) ([]CurvePoint, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nodes, y := sampleNodes(g, cfg.PerLabel, rng)
 	dmax := 0
@@ -504,6 +509,9 @@ func EmaxSweep(g *graph.Graph, cfg LabelConfig) ([]CurvePoint, error) {
 	}
 	var out []CurvePoint
 	for _, emax := range cfg.EmaxValues {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		ex, err := core.NewExtractor(g, core.Options{
 			MaxEdges:      emax,
 			MaxDegree:     dmax,

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime/debug"
+	"strings"
 	"time"
 
 	"hsgf/internal/retry"
@@ -93,9 +94,11 @@ func (r *StageRunner) logf(format string, args ...any) {
 // backoff through the shared retry policy (internal/retry). The
 // schedule is deliberately jitter-free: a reproduction is one process
 // retrying local work, so reproducible timing beats fleet
-// decorrelation. It returns the recorded result; callers decide from
-// res.Status whether the stage's output is usable.
-func (r *StageRunner) Run(name string, fn func() error) StageResult {
+// decorrelation. Once ctx is cancelled no further attempt starts: an
+// attempt that fails under a cancelled ctx is not retried. It returns
+// the recorded result; callers decide from res.Status whether the
+// stage's output is usable.
+func (r *StageRunner) Run(ctx context.Context, name string, fn func() error) StageResult {
 	backoff := r.Backoff
 	if backoff <= 0 {
 		backoff = time.Second
@@ -115,9 +118,10 @@ func (r *StageRunner) Run(name string, fn func() error) StageResult {
 
 	res := StageResult{Name: name}
 	start := time.Now()
-	err := policy.Do(context.Background(), func(_ context.Context, attempt int) error {
+	var attemptErr error
+	err := policy.Do(ctx, func(_ context.Context, attempt int) error {
 		res.Attempts = attempt
-		attemptErr := runIsolated(fn)
+		attemptErr = runIsolated(fn)
 		if attemptErr != nil {
 			r.logf("stage %q attempt %d/%d failed: %v\n", name, attempt, r.attempts(), attemptErr)
 		}
@@ -132,6 +136,10 @@ func (r *StageRunner) Run(name string, fn func() error) StageResult {
 	} else {
 		res.Status = StageSkipped
 		res.Err = err.Error()
+		if ctx.Err() != nil && attemptErr != nil {
+			// Do joins the cancellation with the attempt's own error.
+			res.Err = "interrupted: " + attemptErr.Error()
+		}
 	}
 	res.Elapsed = time.Since(start)
 	r.Results = append(r.Results, res)
@@ -161,6 +169,10 @@ func (r *StageRunner) WriteSummary(w io.Writer) {
 	for _, res := range r.Results {
 		switch res.Status {
 		case StageSkipped:
+			if res.Attempts == 0 { // never started
+				fmt.Fprintf(w, "  %-24s %s: %s\n", res.Name, res.Status, res.Err)
+				break
+			}
 			fmt.Fprintf(w, "  %-24s %s after %d attempts: %s\n", res.Name, res.Status, res.Attempts, res.Err)
 		case StageRecovered:
 			fmt.Fprintf(w, "  %-24s %s (attempt %d, %v)\n", res.Name, res.Status, res.Attempts, res.Elapsed.Round(time.Millisecond))
@@ -196,6 +208,54 @@ type SectionStore struct {
 	// Resume enables Load: without it an existing directory is only
 	// overwritten, never read (a fresh -checkpoint run).
 	Resume bool
+	// Options are the run options that shape section content, as
+	// "name=value" in a fixed order. Open records them in Dir and
+	// refuses a resume whose options differ, so sections computed under
+	// one set of options are never spliced into a report that claims
+	// another.
+	Options []string
+}
+
+// optionsFile names the record of a checkpoint directory's options.
+const optionsFile = "options"
+
+// Open prepares Dir before any stage runs. A fresh run deletes the
+// sections earlier runs left behind and records Options. A resume
+// requires recorded options equal to Options; it fails naming the first
+// option that differs, or when Dir records none.
+func (s *SectionStore) Open() error {
+	path := filepath.Join(s.Dir, optionsFile)
+	if !s.Resume {
+		if err := os.MkdirAll(s.Dir, 0o755); err != nil {
+			return err
+		}
+		stale, err := filepath.Glob(filepath.Join(s.Dir, "*.section"))
+		if err != nil {
+			return err
+		}
+		for _, f := range stale {
+			if err := os.Remove(f); err != nil {
+				return err
+			}
+		}
+		return store.AtomicWriteBytes(path, []byte(strings.Join(s.Options, "\n")))
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("checkpoint %s records no run options, refusing to resume: %w", s.Dir, err)
+	}
+	recorded := strings.Split(string(b), "\n")
+	for i, opt := range s.Options {
+		if i >= len(recorded) || recorded[i] != opt {
+			return fmt.Errorf("checkpoint %s was not written with %s (recorded: %s); refusing to resume",
+				s.Dir, opt, strings.Join(recorded, " "))
+		}
+	}
+	if len(recorded) != len(s.Options) {
+		return fmt.Errorf("checkpoint %s records options %s, this run has %s; refusing to resume",
+			s.Dir, strings.Join(recorded, " "), strings.Join(s.Options, " "))
+	}
+	return nil
 }
 
 func (s *SectionStore) path(name string) string {
@@ -238,10 +298,11 @@ type Stage struct {
 // RunPipeline drives the stages in order through the runner and the
 // optional section store: resumed stages are spliced from disk, fresh
 // stages run with retry/backoff and panic isolation, exhausted stages
-// leave an explicit gap marker in the report. The stage summary is
-// appended at the end. Returns true when every stage produced output
-// (none skipped).
-func RunPipeline(w io.Writer, stages []Stage, runner *StageRunner, store *SectionStore) bool {
+// leave an explicit gap marker in the report. Once ctx is cancelled no
+// further stage starts; each is marked skipped as interrupted. The
+// stage summary is appended at the end. Returns true when every stage
+// produced output (none skipped).
+func RunPipeline(ctx context.Context, w io.Writer, stages []Stage, runner *StageRunner, store *SectionStore) bool {
 	for _, st := range stages {
 		if text, ok := store.Load(st.Name); ok {
 			runner.RecordResumed(st.Name)
@@ -249,9 +310,14 @@ func RunPipeline(w io.Writer, stages []Stage, runner *StageRunner, store *Sectio
 			io.WriteString(w, text)
 			continue
 		}
+		if ctx.Err() != nil {
+			runner.Results = append(runner.Results, StageResult{Name: st.Name, Status: StageSkipped, Err: "interrupted before start"})
+			fmt.Fprintf(w, "!!! stage %q skipped: interrupted before start\n\n", st.Name)
+			continue
+		}
 		var buf bytes.Buffer
 		fn := st.Fn
-		res := runner.Run(st.Name, func() error {
+		res := runner.Run(ctx, st.Name, func() error {
 			buf.Reset() // a retried stage re-renders from scratch
 			return fn(&buf)
 		})

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -18,7 +19,7 @@ func noSleepRunner() *StageRunner {
 func TestStageRunnerRetriesThenRecovers(t *testing.T) {
 	r := noSleepRunner()
 	calls := 0
-	res := r.Run("flaky", func() error {
+	res := r.Run(context.Background(), "flaky", func() error {
 		calls++
 		if calls < 3 {
 			return errors.New("transient")
@@ -40,7 +41,7 @@ func TestStageRunnerExponentialBackoff(t *testing.T) {
 		Backoff:     10 * time.Millisecond,
 		Sleep:       func(d time.Duration) { waits = append(waits, d) },
 	}
-	r.Run("failing", func() error { return errors.New("always") })
+	r.Run(context.Background(), "failing", func() error { return errors.New("always") })
 	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond}
 	if len(waits) != len(want) {
 		t.Fatalf("slept %v, want %v", waits, want)
@@ -54,7 +55,7 @@ func TestStageRunnerExponentialBackoff(t *testing.T) {
 
 func TestStageRunnerSkipsAfterExhaustion(t *testing.T) {
 	r := noSleepRunner()
-	res := r.Run("doomed", func() error { return errors.New("permanent damage") })
+	res := r.Run(context.Background(), "doomed", func() error { return errors.New("permanent damage") })
 	if res.Status != StageSkipped || res.Attempts != 3 {
 		t.Fatalf("res = %+v, want skipped after 3 attempts", res)
 	}
@@ -68,7 +69,7 @@ func TestStageRunnerSkipsAfterExhaustion(t *testing.T) {
 
 func TestStageRunnerIsolatesPanics(t *testing.T) {
 	r := noSleepRunner()
-	res := r.Run("panicky", func() error { panic("boom at depth 3") })
+	res := r.Run(context.Background(), "panicky", func() error { panic("boom at depth 3") })
 	if res.Status != StageSkipped {
 		t.Fatalf("res = %+v, want skipped", res)
 	}
@@ -87,7 +88,7 @@ func TestRunPipelineMarksGapAndSummarises(t *testing.T) {
 		}},
 		{Name: "after", Fn: func(w io.Writer) error { fmt.Fprintln(w, "after section"); return nil }},
 	}
-	ok := RunPipeline(&report, stages, noSleepRunner(), nil)
+	ok := RunPipeline(context.Background(), &report, stages, noSleepRunner(), nil)
 	out := report.String()
 	if ok {
 		t.Fatal("pipeline with a skipped stage must report failure")
@@ -117,7 +118,7 @@ func TestRunPipelineRetriedStageRendersOnce(t *testing.T) {
 		}
 		return nil
 	}}}
-	RunPipeline(&report, stages, noSleepRunner(), nil)
+	RunPipeline(context.Background(), &report, stages, noSleepRunner(), nil)
 	if strings.Contains(report.String(), "attempt 1") {
 		t.Fatalf("stale first-attempt output leaked:\n%s", report.String())
 	}
@@ -143,7 +144,7 @@ func TestRunPipelineResume(t *testing.T) {
 		return nil
 	}}}
 	var out1 bytes.Buffer
-	if ok := RunPipeline(&out1, first, noSleepRunner(), &SectionStore{Dir: dir}); !ok {
+	if ok := RunPipeline(context.Background(), &out1, first, noSleepRunner(), &SectionStore{Dir: dir}); !ok {
 		t.Fatal("first run failed")
 	}
 
@@ -163,7 +164,7 @@ func TestRunPipelineResume(t *testing.T) {
 	}
 	var out2 bytes.Buffer
 	runner := noSleepRunner()
-	if ok := RunPipeline(&out2, full, runner, &SectionStore{Dir: dir, Resume: true}); !ok {
+	if ok := RunPipeline(context.Background(), &out2, full, runner, &SectionStore{Dir: dir, Resume: true}); !ok {
 		t.Fatal("resumed run failed")
 	}
 	if rankRuns != 1 {
@@ -209,5 +210,82 @@ func TestSectionStoreSanitisesNames(t *testing.T) {
 	matches, _ := filepath.Glob(filepath.Join(s.Dir, "*.section"))
 	if len(matches) != 1 {
 		t.Fatalf("found %d section files in %s, want 1", len(matches), s.Dir)
+	}
+}
+
+// TestRunPipelineStopsOnCancel: a run interrupted inside its first stage
+// neither retries that stage nor starts any later one.
+func TestRunPipelineStopsOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	firstCalls, laterCalls := 0, 0
+	stages := []Stage{
+		{Name: "first", Fn: func(w io.Writer) error {
+			firstCalls++
+			cancel() // the signal arrives mid-stage
+			return ctx.Err()
+		}},
+		{Name: "second", Fn: func(w io.Writer) error { laterCalls++; return nil }},
+		{Name: "third", Fn: func(w io.Writer) error { laterCalls++; return nil }},
+	}
+	var report bytes.Buffer
+	runner := noSleepRunner()
+	if RunPipeline(ctx, &report, stages, runner, nil) {
+		t.Fatal("interrupted pipeline must report failure")
+	}
+	if firstCalls != 1 || runner.Results[0].Attempts != 1 {
+		t.Fatalf("first stage ran %d times (%d attempts), want 1: a cancelled attempt is not retried",
+			firstCalls, runner.Results[0].Attempts)
+	}
+	if laterCalls != 0 {
+		t.Fatalf("%d later stages started after cancellation", laterCalls)
+	}
+	for _, res := range runner.Results {
+		if res.Status != StageSkipped {
+			t.Fatalf("stage %q: %v, want skipped", res.Name, res.Status)
+		}
+	}
+	if !strings.Contains(report.String(), `!!! stage "third" skipped: interrupted before start`) {
+		t.Fatalf("report does not mark the interrupted stages:\n%s", report.String())
+	}
+}
+
+// TestSectionStoreRecordsOptions: a resume splices sections only under
+// the options that produced them.
+func TestSectionStoreRecordsOptions(t *testing.T) {
+	dir := t.TempDir()
+	opts := func(seed string) []string { return []string{"seed=" + seed, "scale=0.05"} }
+	fresh := &SectionStore{Dir: dir, Options: opts("1")}
+	if err := fresh.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Save("rank", "seed-1 rank tables"); err != nil {
+		t.Fatal(err)
+	}
+
+	same := &SectionStore{Dir: dir, Resume: true, Options: opts("1")}
+	if err := same.Open(); err != nil {
+		t.Fatalf("resume with matching options: %v", err)
+	}
+	if got, ok := same.Load("rank"); !ok || got != "seed-1 rank tables" {
+		t.Fatalf("Load = %q, %v, want the saved section", got, ok)
+	}
+
+	other := &SectionStore{Dir: dir, Resume: true, Options: opts("2")}
+	err := other.Open()
+	if err == nil || !strings.Contains(err.Error(), "seed=1") || !strings.Contains(err.Error(), "seed=2") {
+		t.Fatalf("resume with another seed: err = %v, want a refusal naming seed", err)
+	}
+
+	// A fresh run under new options drops the old run's sections.
+	if err := (&SectionStore{Dir: dir, Options: opts("2")}).Open(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := (&SectionStore{Dir: dir, Resume: true}).Load("rank"); ok {
+		t.Fatal("a fresh run kept a section computed under other options")
+	}
+
+	if err := (&SectionStore{Dir: t.TempDir(), Resume: true, Options: opts("1")}).Open(); err == nil {
+		t.Fatal("resume from a directory without recorded options must be refused")
 	}
 }

@@ -10,8 +10,8 @@
 // prohibitively expensive beyond small sizes and answers a different
 // question than the *rooted* census of package core, which counts
 // subgraphs around selected nodes and is what the feature extraction
-// needs. The cmd/motifbench tool and the benchmarks quantify the
-// difference.
+// needs. The motif stage of cmd/reproduce and the benchmarks quantify
+// the difference.
 package motif
 
 import (
