@@ -13,8 +13,11 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The smoke-tagged end-to-end tests are vetted too; a plain build never
+# compiles them.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags smoke ./...
 
 build:
 	$(GO) build ./...

@@ -163,11 +163,11 @@ func runRung(n, censusRoots int, serveSeconds float64) (rung, error) {
 	if err != nil {
 		return r, err
 	}
-	if _, err := core.SaveGraphBinarySnapshot(st, g); err != nil {
+	if _, err := core.SaveGraphSnapshots(st, g); err != nil {
 		return r, err
 	}
 	t0 = time.Now()
-	mg, _, err := core.LoadGraphSnapshotMapped(st)
+	mg, _, err := core.LoadGraphSnapshotAuto(st)
 	if err != nil {
 		return r, err
 	}

@@ -108,7 +108,7 @@ func main() {
 		drainGrace    = flag.Duration("drain-grace", 10*time.Second, "max wait for in-flight batches on shutdown")
 
 		seqLogPath  = flag.String("seqlog", "", "sequencer WAL path; with -ingest-graph, enables fleet ingest on POST /v1/ingest")
-		ingestGraph = flag.String("ingest-graph", "", "graph TSV the fleet was partitioned from (required with -seqlog)")
+		ingestGraph = flag.String("ingest-graph", "", "graph the fleet was partitioned from, as a TSV exchange file or a store graph snapshot (required with -seqlog)")
 		ackTimeout  = flag.Duration("ingest-ack-timeout", 10*time.Second, "max wait for full-fleet confirmation before 503 fleet_partial_apply")
 		maxSubMuts  = flag.Int("max-subbatch-mutations", 0, "per-shard sub-batch mutation cap after halo expansion (0 = followers' fleet default); must not exceed the followers' engine cap")
 		maxSubBytes = flag.Int("max-subbatch-bytes", 0, "per-shard sub-batch body byte cap (0 = followers' fleet default); must not exceed the followers' request bound")

@@ -1,6 +1,7 @@
-// Command hsgf extracts heterogeneous subgraph features from a graph in
-// the TSV exchange format and writes them as CSV: one row per root node,
-// one column per subgraph encoding.
+// Command hsgf extracts heterogeneous subgraph features from a graph —
+// a file in the TSV exchange format or a store graph snapshot — and
+// writes them as CSV: one row per root node, one column per subgraph
+// encoding.
 //
 // Usage:
 //
@@ -57,7 +58,7 @@ import (
 
 func main() {
 	var (
-		in       = flag.String("in", "", "input graph in TSV exchange format (required)")
+		in       = flag.String("in", "", "input graph: a TSV exchange file or a store graph snapshot (required)")
 		out      = flag.String("out", "", "output CSV path (default: stdout)")
 		emax     = flag.Int("emax", 5, "maximum edges per subgraph")
 		dmaxPct  = flag.Float64("dmax-percentile", 0, "hub cutoff as a degree percentile in (0,1); 0 disables")
@@ -215,7 +216,7 @@ func run(in, out string, workers int, asJSON bool, cfg extractConfig) error {
 		if err != nil {
 			return err
 		}
-		gGen, err := hsgf.SaveGraphSnapshots(st, g)
+		gGen, err := hsgf.SaveGraphSnapshot(st, g)
 		if err != nil {
 			return err
 		}
@@ -335,7 +336,7 @@ func runPartition(in, outDir string, nShards, halo, emax int, dmaxPct float64) e
 		if err != nil {
 			return err
 		}
-		gen, err := hsgf.SaveGraphSnapshots(st, p.Graph)
+		gen, err := hsgf.SaveGraphSnapshot(st, p.Graph)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", p.Shard, err)
 		}

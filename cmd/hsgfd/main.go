@@ -1,6 +1,7 @@
 // Command hsgfd is the hardened feature-serving daemon: it loads a graph
-// in the TSV exchange format once, builds a census extractor over it, and
-// serves heterogeneous subgraph features over a long-lived HTTP JSON API.
+// (a TSV exchange file or a store graph snapshot) once, builds a census
+// extractor over it, and serves heterogeneous subgraph features over a
+// long-lived HTTP JSON API.
 //
 // Usage:
 //
@@ -34,9 +35,9 @@
 // ones), and SIGHUP or POST /v1/admin/reload hot-swaps the newest good
 // generation in with zero downtime — in-flight requests finish on the
 // generation they started with. When both -in and -store are given and
-// the store is empty, the TSV graph is imported as generation 1.
+// the store is empty, the -in graph is imported as generation 1.
 // Without -store, -in alone still supports hot reload by re-reading the
-// TSV file.
+// file.
 //
 // With -ingest (requires -store) the daemon accepts streaming graph
 // mutations on POST /v1/ingest: each batch is made durable in a
@@ -75,7 +76,7 @@ import (
 
 func main() {
 	var (
-		in       = flag.String("in", "", "input graph in TSV exchange format")
+		in       = flag.String("in", "", "input graph: a TSV exchange file or a store graph snapshot")
 		storeDir = flag.String("store", "", "artifact store directory: boot from and hot-reload checksummed graph snapshots")
 		retain   = flag.Int("retain", 0, "snapshot generations retained per artifact kind (0 = store default)")
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -139,12 +140,11 @@ func main() {
 	logger := log.New(os.Stderr, "hsgfd: ", log.LstdFlags)
 
 	// buildSnapshot loads the serving graph — from the artifact store
-	// when one is configured (newest verified generation across the
-	// binary and TSV kinds, preferring the memory-mapped binary load;
-	// an empty store imports -in as generation 1 of both kinds), from
-	// the -in graph file otherwise — and wraps it as an immutable
-	// serving snapshot. It runs at boot and again on every hot reload,
-	// off the request path.
+	// when one is configured (newest verified generation, memory-mapped;
+	// an empty store imports -in as generation 1), from the -in graph
+	// file otherwise — and wraps it as an immutable serving snapshot.
+	// It runs at boot and again on every hot reload, off the request
+	// path.
 	var st *hsgf.Store
 	if *storeDir != "" {
 		var err error
@@ -164,18 +164,18 @@ func main() {
 		)
 		if st != nil {
 			var err error
-			g, gen, err = hsgf.LoadGraphSnapshotAuto(st)
+			g, gen, err = hsgf.LoadGraphSnapshot(st)
 			switch {
 			case err == nil:
 				source = "store:" + *storeDir
 			case errors.Is(err, hsgf.ErrStoreNotFound) && *in != "":
-				// Empty store + TSV input: import the graph as the
-				// first generation, then serve it.
+				// Empty store + -in graph: import it as the first
+				// generation, then serve it.
 				g, err = hsgf.ReadGraphFile(*in)
 				if err != nil {
 					return nil, err
 				}
-				gen, err = hsgf.SaveGraphSnapshots(st, g)
+				gen, err = hsgf.SaveGraphSnapshot(st, g)
 				if err != nil {
 					return nil, err
 				}
@@ -238,7 +238,7 @@ func main() {
 	if *ingestOn {
 		// Streaming-ingest mode: the engine owns the serving state. It
 		// recovers from the newest verified ingest snapshot plus the WAL
-		// tail; an empty store seeds from the graph artifact or the TSV.
+		// tail; an empty store seeds from the graph artifact or -in.
 		// Fleet followers take router-sequenced sub-batches, which carry
 		// halo repair and may legitimately exceed the direct-client
 		// mutation cap; the router bounds them to the fleet cap before
@@ -256,7 +256,7 @@ func main() {
 			MaxBatchMutations: maxBatch,
 			Log:               logger.Printf,
 		}, func() (*graph.Graph, error) {
-			if g, _, err := hsgf.LoadGraphSnapshotAuto(st); err == nil {
+			if g, _, err := hsgf.LoadGraphSnapshot(st); err == nil {
 				return g, nil
 			} else if !errors.Is(err, hsgf.ErrStoreNotFound) {
 				return nil, err
@@ -311,8 +311,8 @@ func main() {
 
 		// Hot reload: rebuild the snapshot off the request path and RCU-swap
 		// it in. SIGHUP and POST /v1/admin/reload share the single-flight
-		// Reload path; a failed reload (corrupt store, unreadable TSV) keeps
-		// the current generation serving.
+		// Reload path; a failed reload (corrupt store, unreadable -in
+		// file) keeps the current generation serving.
 		srv.SetReloader(func(ctx context.Context) (*serve.Snapshot, error) {
 			return buildSnapshot()
 		})

@@ -220,7 +220,7 @@ func TestReloadSmoke(t *testing.T) {
 	if _, err := hsgf.SaveGraphSnapshot(st, buildGraph(t, 250, 3)); err != nil {
 		t.Fatal(err)
 	}
-	snapPath := filepath.Join(storeDir, "graph-g0000000003.snap")
+	snapPath := filepath.Join(storeDir, "graphbin-g0000000003.snap")
 	raw, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)

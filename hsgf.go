@@ -239,27 +239,18 @@ var (
 // dir.
 func OpenStore(dir string, opts StoreOptions) (*Store, error) { return store.Open(dir, opts) }
 
-// SaveGraphSnapshot writes g into st as the next graph generation.
-func SaveGraphSnapshot(st *Store, g *Graph) (uint64, error) { return core.SaveGraphSnapshot(st, g) }
+// SaveGraphSnapshot writes g into st as the next graph generation, in
+// the binary encoding the loader memory-maps.
+func SaveGraphSnapshot(st *Store, g *Graph) (uint64, error) { return core.SaveGraphSnapshots(st, g) }
 
 // LoadGraphSnapshot loads the newest graph generation that passes
-// verification, quarantining corrupt generations along the way.
-func LoadGraphSnapshot(st *Store) (*Graph, uint64, error) { return core.LoadGraphSnapshot(st) }
-
-// SaveGraphSnapshots writes g as both a TSV and a binary graph
-// generation, keeping the two kinds' rotation clocks in lockstep. The
-// binary side is the boot-path format; the TSV side keeps older tools
-// working against the same store.
-func SaveGraphSnapshots(st *Store, g *Graph) (uint64, error) { return core.SaveGraphSnapshots(st, g) }
-
-// LoadGraphSnapshotAuto serves the newest graph snapshot across both
-// the binary and TSV kinds, preferring the memory-mapped zero-copy
-// binary load whenever it is at least as new.
-func LoadGraphSnapshotAuto(st *Store) (*Graph, uint64, error) { return core.LoadGraphSnapshotAuto(st) }
+// verification, quarantining corrupt generations along the way. The
+// graph's arrays alias a read-only memory mapping where the platform
+// allows.
+func LoadGraphSnapshot(st *Store) (*Graph, uint64, error) { return core.LoadGraphSnapshotAuto(st) }
 
 // ReadGraphFile reads a graph from a file in whichever format its bytes
-// declare: a store envelope holding a binary or TSV graph artifact, or
-// a bare TSV exchange file.
+// declare: a store graph snapshot or a TSV exchange file.
 func ReadGraphFile(path string) (*Graph, error) { return core.ReadGraphFile(path) }
 
 // SaveFeatureSetSnapshot writes fs into st as the next feature-set

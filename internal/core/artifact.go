@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"hsgf/internal/store"
 )
@@ -12,7 +13,6 @@ import (
 // name, and is cross-checked against the embedded meta section so a
 // renamed file can never be decoded as the wrong artifact.
 const (
-	ArtifactGraph      = "graph"
 	ArtifactGraphBin   = "graphbin"
 	ArtifactFeatureSet = "featureset"
 	ArtifactCheckpoint = "checkpoint"
@@ -30,29 +30,28 @@ type artifactMeta struct {
 	Schema   int    `json:"schema"`
 }
 
-// artifactSections frames one payload as the canonical two-section
-// snapshot: a meta section naming the artifact, then the payload under
-// the artifact's own section name.
-func artifactSections(artifact string, payload []byte) ([]store.Section, error) {
-	meta, err := json.Marshal(artifactMeta{Artifact: artifact, Schema: artifactSchema})
+// ArtifactSections frames payloads as one artifact snapshot: a meta
+// section naming the artifact and its payload schema, then the payload
+// sections in order. Every stored artifact uses this framing, so
+// ArtifactPayloads can refuse a file renamed to the wrong kind.
+func ArtifactSections(artifact string, schema int, payloads ...store.Section) ([]store.Section, error) {
+	meta, err := json.Marshal(artifactMeta{Artifact: artifact, Schema: schema})
 	if err != nil {
 		return nil, err
 	}
-	return []store.Section{
-		{Name: "meta", Payload: meta},
-		{Name: artifact, Payload: payload},
-	}, nil
+	return append([]store.Section{{Name: "meta", Payload: meta}}, payloads...), nil
 }
 
-// artifactPayload validates an envelope's shape against the expected
-// artifact and returns the payload bytes. The section list must be
-// exactly [meta, artifact]: a snapshot with sections this reader does
-// not understand is rejected (ErrCorrupt) rather than silently
-// misparsed, and a meta schema from the future is refused with
-// ErrUnsupportedVersion.
-func artifactPayload(env *store.Envelope, artifact string) ([]byte, error) {
-	if len(env.Sections) != 2 {
-		return nil, fmt.Errorf("%w: %d sections, want [meta %s]", store.ErrCorrupt, len(env.Sections), artifact)
+// ArtifactPayloads validates an envelope framed by ArtifactSections
+// against the expected artifact and payload section names, and returns
+// the payloads in order. The section list must be exactly [meta,
+// names...]: a snapshot with sections this reader does not understand
+// is rejected (ErrCorrupt) rather than silently misparsed, and a meta
+// schema newer than schema is refused with ErrUnsupportedVersion.
+func ArtifactPayloads(env *store.Envelope, artifact string, schema int, names ...string) ([][]byte, error) {
+	if len(env.Sections) != 1+len(names) {
+		return nil, fmt.Errorf("%w: %d sections, want [meta %s]",
+			store.ErrCorrupt, len(env.Sections), strings.Join(names, " "))
 	}
 	if env.Sections[0].Name != "meta" {
 		return nil, fmt.Errorf("%w: first section %q, want meta", store.ErrCorrupt, env.Sections[0].Name)
@@ -64,12 +63,33 @@ func artifactPayload(env *store.Envelope, artifact string) ([]byte, error) {
 	if meta.Artifact != artifact {
 		return nil, fmt.Errorf("%w: artifact %q, want %q", store.ErrCorrupt, meta.Artifact, artifact)
 	}
-	if meta.Schema > artifactSchema {
+	if meta.Schema > schema {
 		return nil, fmt.Errorf("%w: %s schema %d, reader supports <= %d",
-			store.ErrUnsupportedVersion, artifact, meta.Schema, artifactSchema)
+			store.ErrUnsupportedVersion, artifact, meta.Schema, schema)
 	}
-	if env.Sections[1].Name != artifact {
-		return nil, fmt.Errorf("%w: unknown section %q, want %q", store.ErrCorrupt, env.Sections[1].Name, artifact)
+	payloads := make([][]byte, len(names))
+	for i, name := range names {
+		sec := env.Sections[1+i]
+		if sec.Name != name {
+			return nil, fmt.Errorf("%w: unknown section %q, want %q", store.ErrCorrupt, sec.Name, name)
+		}
+		payloads[i] = sec.Payload
 	}
-	return env.Sections[1].Payload, nil
+	return payloads, nil
+}
+
+// artifactSections frames one payload as the canonical two-section
+// snapshot of this package's artifacts: [meta, artifact].
+func artifactSections(artifact string, payload []byte) ([]store.Section, error) {
+	return ArtifactSections(artifact, artifactSchema, store.Section{Name: artifact, Payload: payload})
+}
+
+// artifactPayload returns the payload of a [meta, artifact] snapshot
+// written by artifactSections.
+func artifactPayload(env *store.Envelope, artifact string) ([]byte, error) {
+	payloads, err := ArtifactPayloads(env, artifact, artifactSchema, artifact)
+	if err != nil {
+		return nil, err
+	}
+	return payloads[0], nil
 }

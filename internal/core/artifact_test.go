@@ -63,11 +63,11 @@ func TestFeatureSetSnapshotRoundTrip(t *testing.T) {
 func TestGraphSnapshotRoundTrip(t *testing.T) {
 	st := testStore(t)
 	g := denseGraph(t, 40)
-	gen, err := SaveGraphSnapshot(st, g)
+	gen, err := SaveGraphSnapshots(st, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotGen, err := LoadGraphSnapshot(st)
+	got, gotGen, err := LoadGraphSnapshotAuto(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSnapshotFutureSchemaRejected(t *testing.T) {
 // TestSnapshotWrongArtifactRejected proves a renamed snapshot (graph
 // bytes under a featureset name) cannot decode as the wrong artifact.
 func TestSnapshotWrongArtifactRejected(t *testing.T) {
-	sections, err := artifactSections(ArtifactGraph, []byte("t 0\n"))
+	sections, err := artifactSections(ArtifactGraphBin, []byte("HSGFBIN"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,51 +172,6 @@ func TestFeatureSetSnapshotQuarantinesInvalidPayload(t *testing.T) {
 	}
 	if len(quarantined) != 1 {
 		t.Fatalf("%d quarantined files, want 1", len(quarantined))
-	}
-}
-
-// TestCheckpointLegacyJSONStillResumes: checkpoints written before the
-// envelope format (bare JSON) must still load, so an upgrade never
-// invalidates an in-progress extraction.
-func TestCheckpointLegacyJSONStillResumes(t *testing.T) {
-	g := denseGraph(t, 40)
-	roots := allRoots(g)[:12]
-	path := filepath.Join(t.TempDir(), "legacy.ckpt")
-
-	// Produce a complete modern checkpoint, then rewrite it in the
-	// legacy bare-JSON layout.
-	ex, _ := NewExtractor(g, Options{MaxEdges: 3})
-	want, err := ex.CensusAllCheckpoint(context.Background(), roots, 2, CheckpointConfig{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := readCheckpointFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Resuming from the legacy file must complete instantly with the
-	// same censuses and work for the info reader too.
-	ex2, _ := NewExtractor(g, Options{MaxEdges: 3})
-	got, err := ex2.CensusAllCheckpoint(context.Background(), roots, 2, CheckpointConfig{Path: path, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range roots {
-		if !reflect.DeepEqual(want[i].Counts, got[i].Counts) {
-			t.Fatalf("root %d diverged resuming from a legacy checkpoint", i)
-		}
-	}
-	total, done, _, err := ReadCensusCheckpointInfo(path)
-	if err != nil || total != len(roots) || done != len(roots) {
-		t.Fatalf("legacy info = %d/%d (err %v)", done, total, err)
 	}
 }
 
@@ -281,11 +236,11 @@ func TestGraphSnapshotRotation(t *testing.T) {
 	st := testStore(t)
 	sizes := []int{20, 30, 40}
 	for _, n := range sizes {
-		if _, err := SaveGraphSnapshot(st, denseGraph(t, n)); err != nil {
+		if _, err := SaveGraphSnapshots(st, denseGraph(t, n)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	g, gen, err := LoadGraphSnapshot(st)
+	g, gen, err := LoadGraphSnapshotAuto(st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -29,7 +28,7 @@ type CheckpointConfig struct {
 	// Path is the snapshot file, written as a checksummed store envelope
 	// via temp file + fsync + rename + parent-directory fsync, so a
 	// crash mid-snapshot never corrupts (or un-persists) the previous
-	// snapshot. Legacy bare-JSON checkpoints are still readable.
+	// snapshot.
 	Path string
 	// Interval is the number of completed roots between snapshots;
 	// <= 0 selects DefaultCheckpointInterval.
@@ -279,29 +278,24 @@ func writeCheckpointFile(path string, snap *censusSnapshot) error {
 	return store.WriteFile(path, sections)
 }
 
-// readCheckpointFile reads a checkpoint written by writeCheckpointFile,
-// falling back to the legacy bare-JSON layout for files produced before
-// the envelope format. Envelope damage and format mismatches surface as
-// typed store errors.
+// readCheckpointFile reads a checkpoint written by writeCheckpointFile.
+// Anything but an intact checkpoint envelope — damage, a bare-JSON
+// file, another artifact — surfaces as a typed store error.
 func readCheckpointFile(path string) (*censusSnapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var snap censusSnapshot
-	if store.IsEnvelope(data) {
-		env, err := store.ParseEnvelope(data)
-		if err != nil {
-			return nil, err
-		}
-		payload, err := artifactPayload(env, ArtifactCheckpoint)
-		if err != nil {
-			return nil, err
-		}
-		data = payload
+	env, err := store.ParseEnvelope(data)
+	if err != nil {
+		return nil, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	if err := dec.Decode(&snap); err != nil {
+	payload, err := artifactPayload(env, ArtifactCheckpoint)
+	if err != nil {
+		return nil, err
+	}
+	var snap censusSnapshot
+	if err := json.Unmarshal(payload, &snap); err != nil {
 		return nil, fmt.Errorf("%w: %v", store.ErrCorrupt, err)
 	}
 	return &snap, nil

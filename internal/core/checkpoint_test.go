@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"hsgf/internal/graph"
+	"hsgf/internal/store"
 )
 
 func checkpointPath(t *testing.T) string {
@@ -162,24 +165,41 @@ func TestCheckpointRejectsMismatchedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The same checkpoint as bare JSON, the layout before envelopes: it
+	// is refused as corrupt, never read as a missing file.
+	snap, err := readCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := path + ".json"
+	if err := os.WriteFile(bare, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	cases := []struct {
 		name  string
 		opts  Options
 		roots []graph.NodeID
+		path  string
 		want  string
 	}{
-		{"different emax", Options{MaxEdges: 4}, roots, "emax"},
-		{"different dmax", Options{MaxEdges: 3, MaxDegree: 5}, roots, "dmax"},
-		{"different masking", Options{MaxEdges: 3, MaskRootLabel: true}, roots, "mask_root_label"},
-		{"different root count", Options{MaxEdges: 3}, roots[:4], "roots"},
-		{"diverged root list", Options{MaxEdges: 3}, append([]graph.NodeID{9}, roots[1:]...), "diverges"},
+		{"different emax", Options{MaxEdges: 4}, roots, path, "emax"},
+		{"different dmax", Options{MaxEdges: 3, MaxDegree: 5}, roots, path, "dmax"},
+		{"different masking", Options{MaxEdges: 3, MaskRootLabel: true}, roots, path, "mask_root_label"},
+		{"different root count", Options{MaxEdges: 3}, roots[:4], path, "roots"},
+		{"diverged root list", Options{MaxEdges: 3}, append([]graph.NodeID{9}, roots[1:]...), path, "diverges"},
+		{"bare JSON", Options{MaxEdges: 3}, roots, bare, store.ErrCorrupt.Error()},
 	}
 	for _, tc := range cases {
 		ex2, err := NewExtractor(g, tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = ex2.CensusAllCheckpoint(context.Background(), tc.roots, 2, CheckpointConfig{Path: path, Resume: true})
+		_, err = ex2.CensusAllCheckpoint(context.Background(), tc.roots, 2, CheckpointConfig{Path: tc.path, Resume: true})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}

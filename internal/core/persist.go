@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 
-	"hsgf/internal/graph"
 	"hsgf/internal/store"
 )
 
@@ -252,47 +251,6 @@ func LoadFeatureSetSnapshot(st *store.Store) (*FeatureSet, uint64, error) {
 		return nil, 0, err
 	}
 	return fs, gen, nil
-}
-
-// SaveGraphSnapshot writes g into st as the next checksummed "graph"
-// generation; the payload is the TSV exchange format, so a snapshot
-// stays readable by every existing tool. Typed graphs are refused
-// (graph.ErrEdgeTyped) before anything is written.
-func SaveGraphSnapshot(st *store.Store, g *graph.Graph) (uint64, error) {
-	if err := g.RequireUntyped("core: graph snapshot"); err != nil {
-		return 0, err
-	}
-	var buf bytes.Buffer
-	if err := graph.WriteTSV(&buf, g); err != nil {
-		return 0, err
-	}
-	sections, err := artifactSections(ArtifactGraph, buf.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	return st.Write(ArtifactGraph, sections)
-}
-
-// LoadGraphSnapshot loads the newest graph generation that passes
-// envelope verification and TSV parsing, quarantining failures.
-func LoadGraphSnapshot(st *store.Store) (*graph.Graph, uint64, error) {
-	var g *graph.Graph
-	_, gen, err := st.LoadLatestVerified(ArtifactGraph, func(env *store.Envelope) error {
-		payload, err := artifactPayload(env, ArtifactGraph)
-		if err != nil {
-			return err
-		}
-		decoded, err := graph.ReadTSV(bytes.NewReader(payload))
-		if err != nil {
-			return fmt.Errorf("%w: %v", store.ErrCorrupt, err)
-		}
-		g = decoded
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return g, gen, nil
 }
 
 // Dense expands the sparse rows into a dense row-major matrix aligned

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 
@@ -10,23 +9,20 @@ import (
 	"hsgf/internal/store"
 )
 
-// Binary graph persistence: the boot-path format for graphs too large
-// to re-parse from TSV. Snapshots are written under the "graphbin"
-// kind in the same envelope framing as every other artifact, and the
-// mapped loader aliases the CSR arrays straight out of a read-only
-// memory mapping — load cost is envelope verification, not graph
-// reconstruction, and resident cost is page-cache pages shared across
-// processes.
-//
-// TSV ("graph") stays the exchange format. SaveGraphSnapshots writes
-// both kinds in lockstep so either loader observes every rotation;
-// LoadGraphSnapshotAuto serves whichever kind is newest.
+// Graph persistence: the store keeps graphs in one kind, "graphbin",
+// the binary CSR encoding in the same envelope framing as every other
+// artifact. The loader aliases the CSR arrays straight out of a
+// read-only memory mapping — load cost is envelope verification, not
+// graph reconstruction, and resident cost is page-cache pages shared
+// across processes. TSV stays the exchange format for files handed to
+// ReadGraphFile; the store never holds it.
 
-// SaveGraphBinarySnapshot writes g into st as the next "graphbin"
+// SaveGraphSnapshots writes g into st as the next "graphbin"
 // generation. The binary payload's array sections are aligned relative
 // to the enclosing file (via store.PayloadOffset), so a later mapped
-// load can alias them without copying.
-func SaveGraphBinarySnapshot(st *store.Store, g *graph.Graph) (uint64, error) {
+// load can alias them without copying. Typed graphs are refused
+// (graph.ErrEdgeTyped) before anything is written.
+func SaveGraphSnapshots(st *store.Store, g *graph.Graph) (uint64, error) {
 	// Frame with an empty payload first: the payload's file offset
 	// depends only on the envelope header and the sections before it,
 	// so it is known before the payload is encoded.
@@ -43,15 +39,15 @@ func SaveGraphBinarySnapshot(st *store.Store, g *graph.Graph) (uint64, error) {
 	return st.Write(ArtifactGraphBin, sections)
 }
 
-// LoadGraphSnapshotMapped loads the newest "graphbin" generation that
+// LoadGraphSnapshotAuto loads the newest "graphbin" generation that
 // passes envelope verification and binary decoding, quarantining
-// failures like every other loader. When the platform allows, the
-// returned graph's CSR arrays alias a read-only memory mapping that the
-// graph pins for the remaining process lifetime (accessors return
-// sub-slices of the mapped arrays, so no per-object lifetime is sound —
-// see graph.PinBacking); callers treat the result exactly like any
-// other *graph.Graph.
-func LoadGraphSnapshotMapped(st *store.Store) (*graph.Graph, uint64, error) {
+// failures and falling back to the next-older generation like every
+// other loader. When the platform allows, the returned graph's CSR
+// arrays alias a read-only memory mapping that the graph pins for the
+// remaining process lifetime (accessors return sub-slices of the mapped
+// arrays, so no per-object lifetime is sound — see graph.PinBacking);
+// callers treat the result exactly like any other *graph.Graph.
+func LoadGraphSnapshotAuto(st *store.Store) (*graph.Graph, uint64, error) {
 	var g *graph.Graph
 	var aliased bool
 	m, _, gen, err := st.LoadLatestMapped(ArtifactGraphBin, func(env *store.Envelope) error {
@@ -84,76 +80,10 @@ func LoadGraphSnapshotMapped(st *store.Store) (*graph.Graph, uint64, error) {
 	return g, gen, nil
 }
 
-// SaveGraphSnapshots writes g as both a TSV "graph" and a binary
-// "graphbin" generation. Writing both keeps the two kinds' generation
-// clocks advancing together, so LoadGraphSnapshotAuto — and older
-// tooling that only understands TSV — both observe the rotation. The
-// returned generation is the binary one. Typed graphs are refused
-// (graph.ErrEdgeTyped) by SaveGraphSnapshot, before either generation
-// is written.
-func SaveGraphSnapshots(st *store.Store, g *graph.Graph) (uint64, error) {
-	if _, err := SaveGraphSnapshot(st, g); err != nil {
-		return 0, err
-	}
-	return SaveGraphBinarySnapshot(st, g)
-}
-
-// LoadGraphSnapshotAuto serves the newest graph snapshot across both
-// kinds: binary when its newest generation is at least as new as the
-// TSV one (dual-written snapshots tie, and the cheap mapped load
-// wins), TSV when it is strictly newer (a writer that only knows TSV
-// rotated since the last dual write). If the preferred kind
-// quarantines its way below the other kind's newest generation — a
-// corrupted binary must not shadow an intact TSV of the same
-// rotation — the other kind is tried and the newer loadable
-// generation wins.
-func LoadGraphSnapshotAuto(st *store.Store) (*graph.Graph, uint64, error) {
-	binGens, err := st.Generations(ArtifactGraphBin)
-	if err != nil {
-		return nil, 0, err
-	}
-	tsvGens, err := st.Generations(ArtifactGraph)
-	if err != nil {
-		return nil, 0, err
-	}
-	newest := func(gens []uint64) uint64 {
-		if len(gens) == 0 {
-			return 0
-		}
-		return gens[len(gens)-1]
-	}
-	first, second := LoadGraphSnapshotMapped, LoadGraphSnapshot
-	secondNewest := newest(tsvGens)
-	if len(binGens) == 0 || newest(binGens) < newest(tsvGens) {
-		first, second = LoadGraphSnapshot, LoadGraphSnapshotMapped
-		secondNewest = newest(binGens)
-	}
-	g, gen, err := first(st)
-	if err != nil && !errors.Is(err, store.ErrNotFound) {
-		return nil, 0, err
-	}
-	if err == nil && gen >= secondNewest {
-		return g, gen, nil
-	}
-	// The preferred kind had nothing loadable, or corruption
-	// quarantine walked it below the other kind's newest generation.
-	g2, gen2, err2 := second(st)
-	if err2 == nil && (err != nil || gen2 > gen) {
-		return g2, gen2, nil
-	}
-	if err == nil {
-		return g, gen, nil
-	}
-	if err2 != nil && !errors.Is(err2, store.ErrNotFound) {
-		return nil, 0, err2
-	}
-	return nil, 0, err
-}
-
 // ReadGraphFile reads a graph from path in whichever format the bytes
-// declare: a store envelope holding a binary or TSV graph artifact, or
-// a legacy bare TSV file. This is the import path for CLI `-in` flags,
-// so operators can hand any graph artifact to any tool.
+// declare: a store graph snapshot (a "graphbin" envelope) or a TSV
+// exchange file. This is the import path for CLI `-in` flags, so
+// operators can hand a store's graph generation to any tool.
 func ReadGraphFile(path string) (*graph.Graph, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -166,16 +96,13 @@ func ReadGraphFile(path string) (*graph.Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if payload, err := artifactPayload(env, ArtifactGraphBin); err == nil {
-		g, _, err := graph.DecodeBinary(payload, false)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return g, nil
-	}
-	payload, err := artifactPayload(env, ArtifactGraph)
+	payload, err := artifactPayload(env, ArtifactGraphBin)
 	if err != nil {
-		return nil, fmt.Errorf("%s: not a graph artifact: %w", path, err)
+		return nil, fmt.Errorf("%s: not a graph snapshot: %w", path, err)
 	}
-	return graph.ReadTSV(bytes.NewReader(payload))
+	g, _, err := graph.DecodeBinary(payload, false)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return g, nil
 }

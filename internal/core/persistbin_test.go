@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -31,10 +32,10 @@ func TestMappedGraphBehavesIdentically(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		orig := randomLabelled(rng, 8+rng.Intn(24), 1+rng.Intn(3), 0.15+rng.Float64()*0.3)
 		st := openTestStore(t)
-		if _, err := SaveGraphBinarySnapshot(st, orig); err != nil {
+		if _, err := SaveGraphSnapshots(st, orig); err != nil {
 			t.Fatal(err)
 		}
-		loaded, gen, err := LoadGraphSnapshotMapped(st)
+		loaded, gen, err := LoadGraphSnapshotAuto(st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func TestMappedGraphBehavesIdentically(t *testing.T) {
 
 // TestMappedLoadQuarantinesAndFallsBack damages the newest binary
 // generation on disk; the mapped loader must quarantine it and serve
-// the older good one, mirroring the TSV loader's crash-safety story.
+// the older good one, as every store loader does.
 func TestMappedLoadQuarantinesAndFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	gOld := randomLabelled(rng, 12, 2, 0.3)
@@ -87,10 +88,10 @@ func TestMappedLoadQuarantinesAndFallsBack(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			st := openTestStore(t)
-			if _, err := SaveGraphBinarySnapshot(st, gOld); err != nil {
+			if _, err := SaveGraphSnapshots(st, gOld); err != nil {
 				t.Fatal(err)
 			}
-			gen2, err := SaveGraphBinarySnapshot(st, gNew)
+			gen2, err := SaveGraphSnapshots(st, gNew)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +103,7 @@ func TestMappedLoadQuarantinesAndFallsBack(t *testing.T) {
 			if err := os.WriteFile(path, damage(append([]byte{}, pristine...)), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			g, gen, err := LoadGraphSnapshotMapped(st)
+			g, gen, err := LoadGraphSnapshotAuto(st)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,117 +120,36 @@ func TestMappedLoadQuarantinesAndFallsBack(t *testing.T) {
 	}
 }
 
-// TestSaveGraphSnapshotsDualWrite checks both kinds rotate together and
-// the auto loader prefers the binary side of a dual write.
-func TestSaveGraphSnapshotsDualWrite(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	g := randomLabelled(rng, 15, 2, 0.3)
-	st := openTestStore(t)
-	if _, err := SaveGraphSnapshots(st, g); err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []string{ArtifactGraph, ArtifactGraphBin} {
-		gens, err := st.Generations(kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gens) != 1 {
-			t.Fatalf("kind %q has generations %v, want exactly one", kind, gens)
-		}
-	}
-	loaded, _, err := LoadGraphSnapshotAuto(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NumNodes() != g.NumNodes() || loaded.NumEdges() != g.NumEdges() {
-		t.Fatal("auto load changed the graph")
-	}
-}
-
-// TestAutoLoadServesNewerTSV pins the compatibility contract: a writer
-// that only knows TSV (an older tool sharing the store) rotates the
-// "graph" kind past the last dual write, and the auto loader must serve
-// that newer TSV graph, not the stale binary one.
-func TestAutoLoadServesNewerTSV(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	gOld := randomLabelled(rng, 10, 2, 0.3)
-	gNew := randomLabelled(rng, 30, 2, 0.3)
-	st := openTestStore(t)
-	if _, err := SaveGraphSnapshots(st, gOld); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SaveGraphSnapshot(st, gNew); err != nil { // TSV-only writer
-		t.Fatal(err)
-	}
-	loaded, _, err := LoadGraphSnapshotAuto(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NumNodes() != gNew.NumNodes() {
-		t.Fatalf("auto load served %d nodes, want the newer TSV graph's %d", loaded.NumNodes(), gNew.NumNodes())
-	}
-}
-
-// TestAutoLoadRecoversNewerTSVAfterBinQuarantine pins the cross-kind
-// corruption contract: when the newest binary generation is damaged, a
-// dual-written store still holds an intact TSV of the same rotation —
-// the auto loader must serve that, not fall back to an older binary
-// generation and silently lose the last write.
-func TestAutoLoadRecoversNewerTSVAfterBinQuarantine(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	gOld := randomLabelled(rng, 10, 2, 0.3)
-	gNew := randomLabelled(rng, 30, 2, 0.3)
-	st := openTestStore(t)
-	if _, err := SaveGraphSnapshots(st, gOld); err != nil {
-		t.Fatal(err)
-	}
-	binGen, err := SaveGraphSnapshots(st, gNew)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := st.Path(ArtifactGraphBin, binGen)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xFF
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, gen, err := LoadGraphSnapshotAuto(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen != binGen {
-		t.Fatalf("auto load served generation %d, want the intact TSV at %d", gen, binGen)
-	}
-	if loaded.NumNodes() != gNew.NumNodes() {
-		t.Fatalf("auto load served %d nodes, want the newest graph's %d", loaded.NumNodes(), gNew.NumNodes())
-	}
-	if _, err := os.Stat(path + ".corrupt"); err != nil {
-		t.Fatalf("damaged binary generation not quarantined: %v", err)
-	}
-}
-
-// TestAutoLoadSingleKindFallbacks covers stores holding only one kind.
+// TestAutoLoadSingleKindFallbacks covers the stores the loader meets at
+// boot: one holding graph generations, one holding only a generation of
+// the retired TSV "graph" kind (never read, so the store counts as
+// empty), and an empty one.
 func TestAutoLoadSingleKindFallbacks(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	g := randomLabelled(rng, 10, 2, 0.3)
 
-	tsvOnly := openTestStore(t)
-	if _, err := SaveGraphSnapshot(tsvOnly, g); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadGraphSnapshotAuto(tsvOnly); err != nil {
-		t.Fatalf("tsv-only store: %v", err)
-	}
-
 	binOnly := openTestStore(t)
-	if _, err := SaveGraphBinarySnapshot(binOnly, g); err != nil {
+	if _, err := SaveGraphSnapshots(binOnly, g); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := LoadGraphSnapshotAuto(binOnly); err != nil {
-		t.Fatalf("binary-only store: %v", err)
+		t.Fatalf("binary store: %v", err)
+	}
+
+	tsvOnly := openTestStore(t)
+	var tsv bytes.Buffer
+	if err := graph.WriteTSV(&tsv, g); err != nil {
+		t.Fatal(err)
+	}
+	sections, err := artifactSections("graph", tsv.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tsvOnly.Write("graph", sections); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadGraphSnapshotAuto(tsvOnly); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("store holding only the retired TSV kind gave %v, want ErrNotFound", err)
 	}
 
 	if _, _, err := LoadGraphSnapshotAuto(openTestStore(t)); !errors.Is(err, store.ErrNotFound) {
@@ -238,16 +158,16 @@ func TestAutoLoadSingleKindFallbacks(t *testing.T) {
 }
 
 // TestReadGraphFileSniffsFormats feeds every on-disk graph shape through
-// the one-call import path.
+// the one-call import path, and refuses envelopes holding anything else.
 func TestReadGraphFileSniffsFormats(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	g := randomLabelled(rng, 12, 2, 0.3)
 	st := openTestStore(t)
-	tsvGen, err := SaveGraphSnapshot(st, g)
+	binGen, err := SaveGraphSnapshots(st, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binGen, err := SaveGraphBinarySnapshot(st, g)
+	fsGen, err := SaveFeatureSetSnapshot(st, testFeatureSet(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +181,21 @@ func TestReadGraphFileSniffsFormats(t *testing.T) {
 	}
 	f.Close()
 
-	for name, path := range map[string]string{
-		"tsv-envelope":    st.Path(ArtifactGraph, tsvGen),
-		"binary-envelope": st.Path(ArtifactGraphBin, binGen),
-		"bare-tsv":        bare,
+	for name, tc := range map[string]struct {
+		path string
+		ok   bool
+	}{
+		"binary-envelope":     {st.Path(ArtifactGraphBin, binGen), true},
+		"bare-tsv":            {bare, true},
+		"featureset-envelope": {st.Path(ArtifactFeatureSet, fsGen), false},
 	} {
-		loaded, err := ReadGraphFile(path)
+		loaded, err := ReadGraphFile(tc.path)
+		if !tc.ok {
+			if !errors.Is(err, store.ErrCorrupt) {
+				t.Fatalf("%s: got %v, want ErrCorrupt", name, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -305,7 +234,7 @@ func TestMappedLoadIsZeroCopy(t *testing.T) {
 	}
 	g := b.MustBuild()
 	st := openTestStore(t)
-	if _, err := SaveGraphBinarySnapshot(st, g); err != nil {
+	if _, err := SaveGraphSnapshots(st, g); err != nil {
 		t.Fatal(err)
 	}
 	payloadBytes := 4 * (len(allRoots(g)) + 6*g.NumEdges()) // labels + 3×incidence arrays, roughly
@@ -313,7 +242,7 @@ func TestMappedLoadIsZeroCopy(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	loaded, _, err := LoadGraphSnapshotMapped(st)
+	loaded, _, err := LoadGraphSnapshotAuto(st)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -92,9 +92,11 @@ func ClassicFeatures(pub *datagen.Publication, conf string, targetYear, history 
 	rels := make([]yearRel, history)
 	for h := 1; h <= history; h++ {
 		rel := pub.Relevance(conf, targetYear-h)
+		// Sum in institution order, not map order: tree regressors
+		// split on the last bit, so the total must be reproducible.
 		var total float64
-		for _, v := range rel {
-			total += v
+		for _, inst := range pub.Institutions {
+			total += rel[inst]
 		}
 		rels[h-1] = yearRel{rel: rel, total: total}
 	}
@@ -190,10 +192,16 @@ func ClassicFeatures(pub *datagen.Publication, conf string, targetYear, history 
 		row := rows[i]
 		row[base+0] = a.fullPapers
 		row[base+1] = a.allPapers
-		// Authorship: sum over authors of their average papers per
-		// active year at this conference.
+		// Authorship: sum over authors, in ascending ID order, of their
+		// average papers per active year at this conference.
+		authors := make([]graph.NodeID, 0, len(a.authorYears))
+		for author := range a.authorYears {
+			authors = append(authors, author)
+		}
+		sort.Slice(authors, func(x, y int) bool { return authors[x] < authors[y] })
 		var authorship float64
-		for _, ym := range a.authorYears {
+		for _, author := range authors {
+			ym := a.authorYears[author]
 			var papers int
 			for _, c := range ym {
 				papers += c

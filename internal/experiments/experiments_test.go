@@ -96,6 +96,36 @@ func TestClassicFeaturesShape(t *testing.T) {
 	}
 }
 
+// TestClassicFeaturesBitwiseReproducible pins the rank stage's
+// determinism: tree regressors split on the last bit of a feature, so
+// every float sum must run in a fixed order, never in map iteration
+// order.
+func TestClassicFeaturesBitwiseReproducible(t *testing.T) {
+	cfg := tinyRankConfig()
+	pub, err := datagen.GeneratePublication(cfg.Publication)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := cfg.Publication.Years[len(cfg.Publication.Years)-1]
+	for _, conf := range cfg.Publication.Conferences {
+		want := ClassicFeatures(pub, conf, last, cfg.History)
+		diff := 0
+		for run := 1; run < 50; run++ {
+			got := ClassicFeatures(pub, conf, last, cfg.History)
+			for i := range want {
+				for j := range want[i] {
+					if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+						diff++
+					}
+				}
+			}
+		}
+		if diff != 0 {
+			t.Errorf("%s: %d cells differ bitwise across 50 runs", conf, diff)
+		}
+	}
+}
+
 func TestTopTitleWords(t *testing.T) {
 	cfg := tinyRankConfig()
 	pub, err := datagen.GeneratePublication(cfg.Publication)

@@ -45,16 +45,9 @@ type ingestState struct {
 	fs   *core.FeatureSet
 }
 
-// snapshotSections frames the ingest state as store sections:
-// [meta, ingestmeta, graph, featureset].
+// snapshotSections frames the ingest state through core's artifact
+// framing as [meta, ingestmeta, graph, featureset].
 func snapshotSections(st *ingestState) ([]store.Section, error) {
-	kindMeta, err := json.Marshal(struct {
-		Artifact string `json:"artifact"`
-		Schema   int    `json:"schema"`
-	}{ArtifactIngest, ingestSchema})
-	if err != nil {
-		return nil, err
-	}
 	watermark, err := json.Marshal(st.meta)
 	if err != nil {
 		return nil, err
@@ -67,12 +60,10 @@ func snapshotSections(st *ingestState) ([]store.Section, error) {
 	if err := st.fs.Write(&fbuf); err != nil {
 		return nil, err
 	}
-	return []store.Section{
-		{Name: "meta", Payload: kindMeta},
-		{Name: "ingestmeta", Payload: watermark},
-		{Name: "graph", Payload: gbuf.Bytes()},
-		{Name: "featureset", Payload: fbuf.Bytes()},
-	}, nil
+	return core.ArtifactSections(ArtifactIngest, ingestSchema,
+		store.Section{Name: "ingestmeta", Payload: watermark},
+		store.Section{Name: "graph", Payload: gbuf.Bytes()},
+		store.Section{Name: "featureset", Payload: fbuf.Bytes()})
 }
 
 // parseSnapshot decodes and structurally validates an ingest envelope.
@@ -80,37 +71,18 @@ func snapshotSections(st *ingestState) ([]store.Section, error) {
 // LoadLatestVerified quarantines the generation and falls back to an
 // older one.
 func parseSnapshot(env *store.Envelope) (*ingestState, error) {
-	names := []string{"meta", "ingestmeta", "graph", "featureset"}
-	if len(env.Sections) != len(names) {
-		return nil, fmt.Errorf("%w: ingest snapshot has %d sections, want %d", store.ErrCorrupt, len(env.Sections), len(names))
-	}
-	for i, want := range names {
-		if env.Sections[i].Name != want {
-			return nil, fmt.Errorf("%w: ingest snapshot section %d is %q, want %q", store.ErrCorrupt, i, env.Sections[i].Name, want)
-		}
-	}
-	var kindMeta struct {
-		Artifact string `json:"artifact"`
-		Schema   int    `json:"schema"`
-	}
-	if err := json.Unmarshal(env.Sections[0].Payload, &kindMeta); err != nil {
-		return nil, fmt.Errorf("%w: undecodable ingest meta: %v", store.ErrCorrupt, err)
-	}
-	if kindMeta.Artifact != ArtifactIngest {
-		return nil, fmt.Errorf("%w: artifact %q, want %q", store.ErrCorrupt, kindMeta.Artifact, ArtifactIngest)
-	}
-	if kindMeta.Schema > ingestSchema {
-		return nil, fmt.Errorf("%w: ingest schema %d, reader supports <= %d", store.ErrUnsupportedVersion, kindMeta.Schema, ingestSchema)
+	payloads, err := core.ArtifactPayloads(env, ArtifactIngest, ingestSchema, "ingestmeta", "graph", "featureset")
+	if err != nil {
+		return nil, fmt.Errorf("ingest snapshot: %w", err)
 	}
 	st := &ingestState{}
-	if err := json.Unmarshal(env.Sections[1].Payload, &st.meta); err != nil {
+	if err := json.Unmarshal(payloads[0], &st.meta); err != nil {
 		return nil, fmt.Errorf("%w: undecodable ingest watermark: %v", store.ErrCorrupt, err)
 	}
-	var err error
-	if st.g, err = graph.ReadTSV(bytes.NewReader(env.Sections[2].Payload)); err != nil {
+	if st.g, err = graph.ReadTSV(bytes.NewReader(payloads[1])); err != nil {
 		return nil, fmt.Errorf("%w: ingest graph: %v", store.ErrCorrupt, err)
 	}
-	if st.fs, err = core.ReadFeatureSet(bytes.NewReader(env.Sections[3].Payload)); err != nil {
+	if st.fs, err = core.ReadFeatureSet(bytes.NewReader(payloads[2])); err != nil {
 		return nil, fmt.Errorf("%w: ingest feature set: %v", store.ErrCorrupt, err)
 	}
 	// Cross-section invariants: the feature set must cover exactly the

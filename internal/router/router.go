@@ -63,7 +63,7 @@ type Config struct {
 	// SeqLogPath and IngestGraph together enable fleet ingest: the
 	// router sequences POST /v1/ingest batches through a CRC-framed
 	// sequencer WAL at SeqLogPath and resolves shard fan-out against
-	// IngestGraph (the same TSV the fleet was partitioned from). With
+	// IngestGraph (the same graph the fleet was partitioned from). With
 	// either unset the router keeps its explicit 501 for ingest.
 	SeqLogPath  string
 	IngestGraph *graph.Graph

@@ -189,9 +189,11 @@ func (s *Server) Breaker() *Breaker { return s.brk }
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // fingerprint digests everything that determines feature semantics —
-// graph shape, label alphabet, extraction options — so clients can
-// detect that two daemons (or one daemon across restarts) serve
-// comparable features.
+// graph shape, label alphabet, edge-type section, extraction options —
+// so clients can detect that two daemons (or one daemon across
+// restarts) serve comparable features. The edge-type section is hashed
+// last and only for typed graphs, so untyped fingerprints are unchanged
+// by it.
 func fingerprint(ex *core.Extractor) string {
 	g := ex.Graph()
 	opts := ex.Options()
@@ -202,6 +204,12 @@ func fingerprint(ex *core.Extractor) string {
 	}
 	fmt.Fprintf(h, "emax=%d|dmax=%d|mask=%v|key=%d",
 		opts.MaxEdges, opts.MaxDegree, opts.MaskRootLabel, opts.KeyMode)
+	if g.Typed() {
+		fmt.Fprintf(h, "|directed=%v", g.Directed())
+		for _, name := range g.EdgeAlphabet().Names() {
+			fmt.Fprintf(h, "|el=%s", name)
+		}
+	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -233,6 +233,56 @@ func TestMeta(t *testing.T) {
 	}
 }
 
+// TestFingerprintCoversEdgeTypes: a typed graph's direction and edge
+// labels change feature semantics, so they must change the fingerprint;
+// untyped fingerprints are pinned byte-for-byte.
+func TestFingerprintCoversEdgeTypes(t *testing.T) {
+	labels := []string{"a", "b", "a"}
+	untyped := graph.NewBuilder()
+	for _, l := range labels {
+		untyped.AddNode(l)
+	}
+	untyped.AddEdge(0, 1)
+	untyped.AddEdge(1, 2)
+	typed := func(directed bool, el0, el1 string) *graph.Graph {
+		b := graph.NewTypedBuilder(directed)
+		for _, l := range labels {
+			b.AddNode(l)
+		}
+		b.AddEdge(0, 1, el0)
+		b.AddEdge(1, 2, el1)
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	fp := func(g *graph.Graph) string {
+		ex, err := core.NewExtractor(g, core.Options{MaxEdges: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fingerprint(ex)
+	}
+
+	const pinned = "bdc04c450d22b61d"
+	if got := fp(untyped.MustBuild()); got != pinned {
+		t.Errorf("untyped fingerprint %s, want %s", got, pinned)
+	}
+	seen := map[string]string{pinned: "untyped"}
+	for name, g := range map[string]*graph.Graph{
+		"directed x,y":   typed(true, "x", "y"),
+		"undirected x,y": typed(false, "x", "y"),
+		"directed x,x":   typed(true, "x", "x"),
+	} {
+		got := fp(g)
+		if prev, dup := seen[got]; dup {
+			t.Errorf("%s shares fingerprint %s with %s", name, got, prev)
+		}
+		seen[got] = name
+	}
+}
+
 func TestHealthAndReadiness(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
 	var health map[string]string

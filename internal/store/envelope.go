@@ -140,8 +140,8 @@ func EncodeEnvelope(sections []Section) ([]byte, error) {
 }
 
 // IsEnvelope reports whether data begins with the envelope magic —
-// the cheap test readers use to tell an envelope from a legacy
-// (pre-store) artifact file before committing to either decoder.
+// the cheap test readers use to tell an envelope from a bare exchange
+// file (such as a TSV graph) before committing to either decoder.
 func IsEnvelope(data []byte) bool {
 	return len(data) >= len(headerMagic) && string(data[:len(headerMagic)]) == headerMagic
 }
