@@ -18,7 +18,7 @@
 //	POST /v1/admin/reload  verify + swap in the newest artifact generation
 //	GET  /healthz          liveness
 //	GET  /readyz           readiness (503 while draining)
-//	GET  /debug/stats      admission/breaker/reload counters + latency histogram
+//	GET  /debug/stats      admission/breaker/reload counters + latency p50/p99
 //
 // The daemon is built for the heavy-tailed per-root extraction cost of
 // real networks: requests pass bounded admission (429 + Retry-After when

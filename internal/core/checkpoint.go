@@ -7,7 +7,6 @@ import (
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"hsgf/internal/graph"
 	"hsgf/internal/store"
@@ -131,19 +130,10 @@ func (e *Extractor) CensusAllCheckpoint(ctx context.Context, roots []graph.NodeI
 		pendingRoots[j] = roots[i]
 	}
 
-	var stop atomic.Bool
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			stop.Store(true)
-		case <-watchDone:
-		}
-	}()
-
+	stop, release := stopOnCancel(ctx)
+	defer release()
 	sub, _ := e.censusAll(pendingRoots, workers, censusRun{
-		stop: &stop,
+		stop: stop,
 		done: func(j int, c *Census) { col.add(pending[j], c) },
 	})
 	for j, i := range pending {

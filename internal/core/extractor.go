@@ -199,18 +199,7 @@ func (e *Extractor) CensusAllTimed(roots []graph.NodeID, workers int) ([]*Census
 // roots are left nil, and ctx.Err() is returned. Workers poll the
 // cancellation flag, so even a single runaway hub root stops promptly.
 func (e *Extractor) CensusAllContext(ctx context.Context, roots []graph.NodeID, workers int) ([]*Census, error) {
-	var stop atomic.Bool
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			stop.Store(true)
-		case <-watchDone:
-		}
-	}()
-	cs, _ := e.censusAll(roots, workers, censusRun{stop: &stop})
-	return cs, ctx.Err()
+	return e.CensusAllWithLimits(ctx, roots, workers, RootLimits{})
 }
 
 // RootLimits is a per-call override of the extractor's per-root
@@ -230,18 +219,18 @@ type RootLimits struct {
 // extractor or discarding its decoded vocabulary. Truncation is
 // reported per root through the usual CensusFlag taxonomy.
 func (e *Extractor) CensusAllWithLimits(ctx context.Context, roots []graph.NodeID, workers int, limits RootLimits) ([]*Census, error) {
-	var stop atomic.Bool
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			stop.Store(true)
-		case <-watchDone:
-		}
-	}()
-	cs, _ := e.censusAll(roots, workers, censusRun{stop: &stop, limits: limits})
+	stop, release := stopOnCancel(ctx)
+	defer release()
+	cs, _ := e.censusAll(roots, workers, censusRun{stop: stop, limits: limits})
 	return cs, ctx.Err()
+}
+
+// stopOnCancel returns a cancellation flag for censusRun.stop that is
+// set once ctx is done, and the function that detaches it from ctx; the
+// caller defers the latter.
+func stopOnCancel(ctx context.Context) (*atomic.Bool, func() bool) {
+	stop := new(atomic.Bool)
+	return stop, context.AfterFunc(ctx, func() { stop.Store(true) })
 }
 
 // censusRun bundles the optional behaviours of a pooled extraction.

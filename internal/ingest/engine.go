@@ -11,6 +11,7 @@ import (
 
 	"hsgf/internal/core"
 	"hsgf/internal/graph"
+	"hsgf/internal/latency"
 	"hsgf/internal/store"
 )
 
@@ -127,12 +128,8 @@ type Engine struct {
 	fleetSeq uint64
 
 	stats        Stats
-	applyLatency []time.Duration // ring, latencyRingSize entries
-	latencyNext  int
-	latencyFill  int
+	applyLatency latency.Histogram
 }
-
-const latencyRingSize = 1024
 
 // Open loads (or seeds) the ingest state and replays the WAL tail.
 //
@@ -165,9 +162,8 @@ func Open(cfg Config, seed func() (*graph.Graph, error)) (*Engine, error) {
 	}
 
 	e := &Engine{
-		cfg:          cfg,
-		applied:      make(map[string]uint64),
-		applyLatency: make([]time.Duration, latencyRingSize),
+		cfg:     cfg,
+		applied: make(map[string]uint64),
 	}
 
 	state, gen, err := loadSnapshot(cfg.Store)
@@ -378,7 +374,7 @@ func (e *Engine) Apply(ctx context.Context, batchID string, muts []graph.Mutatio
 		return Result{}, fmt.Errorf("ingest: apply after durable append (engine requires a restart; WAL record %d replays on boot): %w", seq, err)
 	}
 	res.Elapsed = time.Since(start)
-	e.observeApply(res)
+	e.applyLatency.Observe(res.Elapsed)
 	if e.since++; e.since >= e.cfg.CompactEvery {
 		if err := e.compactLocked(); err != nil {
 			// Compaction failure is not batch failure: the WAL still
@@ -615,15 +611,6 @@ func (e *Engine) compactLocked() error {
 	return nil
 }
 
-// observeApply records latency and ring stats. Caller holds e.mu.
-func (e *Engine) observeApply(res Result) {
-	e.applyLatency[e.latencyNext] = res.Elapsed
-	e.latencyNext = (e.latencyNext + 1) % latencyRingSize
-	if e.latencyFill < latencyRingSize {
-		e.latencyFill++
-	}
-}
-
 // Stats returns a point-in-time copy of the engine counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
@@ -634,13 +621,10 @@ func (e *Engine) Stats() Stats {
 	s.WALBytes = e.wal.Size()
 	s.IndexEntries = len(e.applied)
 	s.Failed = e.failed
-	if e.latencyFill > 0 {
-		lat := make([]time.Duration, e.latencyFill)
-		copy(lat, e.applyLatency[:e.latencyFill])
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		s.ApplyP50MS = float64(lat[e.latencyFill/2].Microseconds()) / 1000
-		s.ApplyP99MS = float64(lat[(e.latencyFill*99)/100].Microseconds()) / 1000
-	}
+	p50, _ := e.applyLatency.Quantile(0.50)
+	p99, _ := e.applyLatency.Quantile(0.99)
+	s.ApplyP50MS = float64(p50) / float64(time.Millisecond)
+	s.ApplyP99MS = float64(p99) / float64(time.Millisecond)
 	return s
 }
 

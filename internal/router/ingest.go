@@ -66,7 +66,7 @@ func (e *fleetError) Error() string { return e.msg }
 type fleetIngest struct {
 	s   *Server
 	sm  *graph.ShardMap
-	log *store.SeqLog
+	log *store.WAL // the sequencer log, records numbered 1..N by fleet seq; guarded by mu
 
 	ackTimeout time.Duration
 
@@ -97,10 +97,9 @@ type fleetIngest struct {
 	watermark uint64
 	// acked maps every client batch ID ever sequenced to its fleet seq
 	// — the router-level idempotency index. It is deliberately
-	// unbounded: the sequencer log already retains every record (the
-	// index is rebuilt from it on boot), so the index adds one small
-	// entry per batch to state that grows anyway, and eviction would
-	// re-open the double-apply hole — a retry of an evicted ID would be
+	// unbounded: boot rebuilds it from the sequencer log, which keeps
+	// every record on disk regardless, and eviction would re-open the
+	// double-apply hole — a retry of an evicted ID would be
 	// re-sequenced under a new composite fleet batch ID that no shard's
 	// replay index can match. Compacting the log (DESIGN.md §14) is the
 	// operator lever that bounds both together.
@@ -159,7 +158,7 @@ func newFleetIngest(s *Server, g *graph.Graph, path string) (*fleetIngest, error
 		}
 	}
 
-	log, err := store.OpenSeqLog(path)
+	log, recs, err := store.OpenWAL(path)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +177,13 @@ func newFleetIngest(s *Server, g *graph.Graph, path string) (*fleetIngest, error
 		stopCh:       make(chan struct{}),
 	}
 
-	for _, rec := range log.Records() {
+	for i, rec := range recs {
+		// The WAL drops a torn tail (never acked); a gap in what remains
+		// means acked sequence assignments were lost.
+		if want := uint64(i + 1); rec.Seq != want {
+			log.Close()
+			return nil, fmt.Errorf("router: sequencer log %s: record %d carries seq %d, want %d: %w", path, i, rec.Seq, want, store.ErrCorrupt)
+		}
 		clientID, muts, err := graph.DecodeMutations(rec.Payload)
 		if err != nil {
 			log.Close()
@@ -227,7 +232,9 @@ func (f *fleetIngest) stop() {
 	}
 	f.mu.Unlock()
 	f.wg.Wait()
+	f.mu.Lock()
 	_ = f.log.Close()
+	f.mu.Unlock()
 }
 
 // stageBatch resolves one batch against the membership map and builds
@@ -437,7 +444,7 @@ func (f *fleetIngest) submit(ctx context.Context, clientID string, muts []graph.
 	// the sub-batch limit check must be able to refuse the batch with a
 	// plain 400 and roll the membership map back, which is only possible
 	// while nothing is durable yet. f.mu serialises every Append, so the
-	// predicted sequence is exact (asserted below).
+	// staged sequence is the one the log takes.
 	seq = f.log.LastSeq() + 1
 	items, deltas, undo, err := f.stageBatch(seq, clientID, muts)
 	if err != nil {
@@ -453,8 +460,7 @@ func (f *fleetIngest) submit(ctx context.Context, clientID string, muts []graph.
 		f.mu.Unlock()
 		return 0, false, 0, 0, ferr
 	}
-	durableSeq, err := f.log.Append(payload)
-	if err != nil {
+	if err := f.log.Append(seq, payload); err != nil {
 		// The sequencer could not make the assignment durable; the WAL
 		// layer has rolled back or poisoned itself, so nothing was
 		// acked and nothing may proceed.
@@ -464,15 +470,6 @@ func (f *fleetIngest) submit(ctx context.Context, clientID string, muts []graph.
 		f.mu.Unlock()
 		return 0, false, 0, 0, &fleetError{status: http.StatusInternalServerError, code: "fleet_failed",
 			msg: "sequencer write failed; batch not acked, retry against a restarted router: " + err.Error()}
-	}
-	if durableSeq != seq {
-		// Cannot happen while f.mu guards every Append; if it does, the
-		// staged bodies carry the wrong sequence and must not fan out.
-		f.failed = true
-		f.failReason = fmt.Sprintf("sequencer skew: staged seq %d, durable seq %d", seq, durableSeq)
-		f.mu.Unlock()
-		return 0, false, 0, 0, &fleetError{status: http.StatusInternalServerError, code: "fleet_failed",
-			msg: f.failReason}
 	}
 	if hook := f.s.cfg.SequenceHook; hook != nil {
 		// Fault-injection seam: the smoke suite kills the router here,

@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -432,5 +433,42 @@ func TestRouterIngestBootReplayRecoversSequencedBatches(t *testing.T) {
 	// A client retry of the orphaned batch acks idempotently.
 	if w := routerDo(t, rt2, http.MethodPost, "/v1/ingest", ingestBody("b2", edgeMut(1, 9)), &res); w.Code != http.StatusOK || !res.Replayed || res.FleetSeq != 2 {
 		t.Fatalf("b2 retry: status %d %+v", w.Code, res)
+	}
+}
+
+// TestRouterRefusesGappedSequencerLog: a sequencer log whose surviving
+// records skip a sequence lost acked assignments; the router must refuse
+// to boot on it rather than re-sequence over the hole.
+func TestRouterRefusesGappedSequencerLog(t *testing.T) {
+	g := fleetTestGraph(t, 40, 1)
+	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: 2, HaloDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "seq.wal")
+	wal, _, err := store.OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range []uint64{1, 3} { // gap: no seq 2
+		payload, err := graph.EncodeMutations(fmt.Sprintf("b%d", seq), []graph.Mutation{{Op: graph.OpAddNode, Label: "a"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wal.Append(seq, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = New(Config{
+		Manifest:    BuildManifest(g.NumNodes(), 1, plans),
+		Shards:      [][]string{{"http://127.0.0.1:1"}, {"http://127.0.0.1:1"}},
+		SeqLogPath:  path,
+		IngestGraph: g,
+	})
+	if !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("router booted on a gapped sequencer log: err = %v, want store.ErrCorrupt", err)
 	}
 }

@@ -46,9 +46,10 @@ type Config struct {
 	// Default 15s.
 	ShardTimeout time.Duration
 
-	// HedgeDelay is the hedge trigger before the latency window has
-	// enough samples to derive a p95. Default 30ms. HedgeMinDelay /
-	// HedgeMaxDelay clamp the p95-derived trigger (defaults 2ms / 2s).
+	// HedgeDelay is the hedge trigger before the shard's latency
+	// histogram has enough samples to derive a p95. Default 30ms.
+	// HedgeMinDelay / HedgeMaxDelay clamp the p95-derived trigger
+	// (defaults 2ms / 2s).
 	HedgeDelay    time.Duration
 	HedgeMinDelay time.Duration
 	HedgeMaxDelay time.Duration
@@ -210,7 +211,6 @@ func New(cfg Config) (*Server, error) {
 		sh := &shard{
 			idx: i,
 			brk: serve.NewBreaker(cfg.Breaker),
-			lat: newLatencyWindow(),
 			l2g: sm.LocalToGlobal,
 			g2l: g2l,
 		}
@@ -523,9 +523,8 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 	resp := MetaResponse{NumShards: s.m.NumShards, HaloDepth: s.m.HaloDepth, NumNodes: int(s.numNodes.Load())}
 	for _, sh := range s.shards {
 		entry := ShardMetaEntry{Shard: sh.idx, Breaker: sh.brk.State().String()}
-		if p95, ok := sh.lat.p95(); ok {
-			entry.P95MS = math.Round(float64(p95)/float64(time.Millisecond)*1000) / 1000
-		}
+		p95, _ := sh.lat.Quantile(0.95)
+		entry.P95MS = math.Round(float64(p95)/float64(time.Millisecond)*1000) / 1000
 		for _, rep := range sh.replicas {
 			entry.Replicas = append(entry.Replicas, ReplicaMeta{
 				URL:         rep.url,

@@ -15,6 +15,7 @@ import (
 
 	"hsgf/internal/core"
 	"hsgf/internal/graph"
+	"hsgf/internal/latency"
 	"hsgf/internal/retry"
 	"hsgf/internal/serve"
 )
@@ -471,6 +472,49 @@ func TestHedgeLosesToLatePrimary(t *testing.T) {
 	}
 	if h, wins := rt.stats.hedges.Load(), rt.stats.hedgeWins.Load(); h != 1 || wins != 0 {
 		t.Errorf("hedges=%d hedgeWins=%d, want 1 and 0", h, wins)
+	}
+}
+
+// TestHedgeDelayPolicy pins the hedge trigger: the configured default
+// until minHedgeSamples calls are known, then the p95 of the shard's
+// recent successful calls clamped to [HedgeMinDelay, HedgeMaxDelay].
+func TestHedgeDelayPolicy(t *testing.T) {
+	rt := newTestRouter(t, Config{
+		Manifest:      identityManifest(10),
+		Shards:        [][]string{{"http://127.0.0.1:1", "http://127.0.0.1:2"}},
+		HedgeDelay:    30 * time.Millisecond,
+		HedgeMinDelay: 2 * time.Millisecond,
+		HedgeMaxDelay: 200 * time.Millisecond,
+	})
+	sh := rt.shards[0]
+	observe := func(n int, d time.Duration) {
+		for i := 0; i < n; i++ {
+			sh.lat.Observe(d)
+		}
+	}
+
+	observe(minHedgeSamples-1, time.Second)
+	if d := rt.hedgeDelay(sh); d != 30*time.Millisecond {
+		t.Fatalf("%d samples: delay %v, want the 30ms default", minHedgeSamples-1, d)
+	}
+	observe(1, time.Second)
+	if d := rt.hedgeDelay(sh); d != 200*time.Millisecond {
+		t.Fatalf("p95 of 1s: delay %v, want it clamped to the 200ms max", d)
+	}
+	observe(latency.Window, 100*time.Microsecond)
+	if d := rt.hedgeDelay(sh); d != 2*time.Millisecond {
+		t.Fatalf("p95 of 100µs: delay %v, want it clamped to the 2ms min", d)
+	}
+	// Each full window of calls replaces the last, and the trigger
+	// follows its p95: the 973rd of 1024 calls, not the median or the
+	// slowest.
+	for _, p95 := range []time.Duration{20 * time.Millisecond, 80 * time.Millisecond, 5 * time.Millisecond} {
+		observe(512, p95/4)
+		observe(461, p95)
+		observe(51, 4*p95)
+		if d := rt.hedgeDelay(sh); d < p95 || d > p95*9/8 {
+			t.Fatalf("recent p95 %v: delay %v", p95, d)
+		}
 	}
 }
 

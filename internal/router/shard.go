@@ -13,20 +13,21 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hsgf/internal/latency"
 	"hsgf/internal/retry"
 	"hsgf/internal/serve"
 )
 
 // shard is the router's client-side view of one partition: its replica
 // set, the ID translation tables from the manifest, a circuit breaker
-// guarding the whole replica set, and the latency window feeding the
+// guarding the whole replica set, and the latency histogram feeding the
 // hedging policy.
 type shard struct {
 	idx      int
 	replicas []*replica
 	brk      *serve.Breaker
-	lat      *latencyWindow
-	rr       atomic.Uint32 // round-robin replica cursor
+	lat      latency.Histogram // successful shard-call latencies
+	rr       atomic.Uint32     // round-robin replica cursor
 
 	// idMu guards the translation tables: fleet ingest appends new
 	// members as add_node mutations land while feature requests read
@@ -202,21 +203,22 @@ func parseTypedError(resp *http.Response) (reason string, hint time.Duration) {
 	return reason, hint
 }
 
+// minHedgeSamples gates the estimator: below this, p95 of a handful of
+// calls is noise and the configured default delay is used instead.
+const minHedgeSamples = 8
+
 // hedgeDelay returns how long to wait on the primary before firing the
-// hedge: the shard's observed p95 when enough samples exist (clamped to
-// [HedgeMinDelay, HedgeMaxDelay]), else the configured default.
+// hedge: the p95 of the shard's recent successful calls when enough
+// exist (clamped to [HedgeMinDelay, HedgeMaxDelay]), else the
+// configured default. A hedge then fires only when the primary is
+// slower than 95% of recent calls, so steady-state hedge volume is ~5%
+// of requests: enough to cut tail latency, cheap enough to leave on.
 func (s *Server) hedgeDelay(sh *shard) time.Duration {
-	d, ok := sh.lat.p95()
-	if !ok {
+	d, n := sh.lat.Quantile(0.95)
+	if n < minHedgeSamples {
 		return s.cfg.HedgeDelay
 	}
-	if d < s.cfg.HedgeMinDelay {
-		d = s.cfg.HedgeMinDelay
-	}
-	if d > s.cfg.HedgeMaxDelay {
-		d = s.cfg.HedgeMaxDelay
-	}
-	return d
+	return min(max(d, s.cfg.HedgeMinDelay), s.cfg.HedgeMaxDelay)
 }
 
 // hedgedCall runs one logical attempt against a shard: a primary
@@ -245,7 +247,7 @@ func (s *Server) hedgedCall(ctx context.Context, sh *shard, body []byte) (*serve
 		start := time.Now()
 		fr, err := s.attemptOnce(ctx, rep, body)
 		if err == nil {
-			sh.lat.observe(time.Since(start))
+			sh.lat.Observe(time.Since(start))
 		}
 		results <- legResult{fr, err, hedge}
 	}

@@ -112,9 +112,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				st.HealthyReplicas++
 			}
 		}
-		if p95, ok := sh.lat.p95(); ok {
-			st.P95MS = float64(p95) / float64(time.Millisecond)
-		}
+		p95, _ := sh.lat.Quantile(0.95)
+		st.P95MS = float64(p95) / float64(time.Millisecond)
 		resp.Shards = append(resp.Shards, st)
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -512,7 +512,7 @@ func (s *Server) finishFeatures(w http.ResponseWriter, snap *Snapshot, rows []ro
 		}
 	}
 	elapsed := time.Since(start)
-	s.stats.observeLatency(elapsed)
+	s.stats.latency.Observe(elapsed)
 	s.stats.completed.Add(1)
 	if degraded {
 		s.stats.degraded.Add(1)

@@ -389,15 +389,8 @@ func TestDebugStats(t *testing.T) {
 	if snap.BreakerState != "closed" || snap.Draining {
 		t.Errorf("snapshot state %+v", snap)
 	}
-	if len(snap.Latency) == 0 {
-		t.Error("no latency observations after a completed request")
-	}
-	var total int64
-	for _, b := range snap.Latency {
-		total += b.Count
-	}
-	if total != 1 {
-		t.Errorf("latency observations = %d, want 1", total)
+	if l := snap.Latency; l.Samples != 1 || l.P50US <= 0 || l.P99US != l.P50US {
+		t.Errorf("latency = %+v, want the one completed request", l)
 	}
 }
 

@@ -3,18 +3,9 @@ package serve
 import (
 	"sync/atomic"
 	"time"
-)
 
-// latencyBuckets are the upper bounds of the request-latency histogram,
-// doubling from 1ms; the last bucket is unbounded. Fixed bounds keep the
-// histogram lock-free and allocation-free on the hot path.
-var latencyBuckets = [...]time.Duration{
-	1 * time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond,
-	8 * time.Millisecond, 16 * time.Millisecond, 32 * time.Millisecond,
-	64 * time.Millisecond, 128 * time.Millisecond, 256 * time.Millisecond,
-	512 * time.Millisecond, 1 * time.Second, 2 * time.Second,
-	4 * time.Second, 8 * time.Second, 16 * time.Second, 32 * time.Second,
-}
+	"hsgf/internal/latency"
+)
 
 // Stats aggregates the daemon's lifecycle counters. All fields are
 // updated atomically; Snapshot assembles a consistent-enough view for
@@ -44,25 +35,8 @@ type Stats struct {
 	reloadOK     atomic.Int64 // attempts that swapped a new generation in
 	reloadFailed atomic.Int64 // attempts that kept the old generation
 
-	latency [len(latencyBuckets) + 1]atomic.Int64
-}
-
-// observeLatency records one request duration in the histogram.
-func (s *Stats) observeLatency(d time.Duration) {
-	for i, ub := range latencyBuckets {
-		if d <= ub {
-			s.latency[i].Add(1)
-			return
-		}
-	}
-	s.latency[len(latencyBuckets)].Add(1)
-}
-
-// LatencyBucket is one histogram cell: the inclusive upper bound in
-// milliseconds (0 for the overflow bucket) and the observation count.
-type LatencyBucket struct {
-	UpperMS int64 `json:"upper_ms"` // 0 = +Inf
-	Count   int64 `json:"count"`
+	// latency holds the durations of recent 200 /v1/features responses.
+	latency latency.Histogram
 }
 
 // StatsSnapshot is the JSON shape of /debug/stats.
@@ -102,7 +76,13 @@ type StatsSnapshot struct {
 	// the serving epoch); absent when the cache is disabled.
 	Cache *CacheStats `json:"cache,omitempty"`
 
-	Latency []LatencyBucket `json:"latency"`
+	// Latency summarises the durations of the last latency.Window 200
+	// /v1/features responses.
+	Latency struct {
+		Samples int     `json:"samples"`
+		P50US   float64 `json:"p50_us"`
+		P99US   float64 `json:"p99_us"`
+	} `json:"latency"`
 }
 
 // snapshot captures the counters; breaker state and draining flag are
@@ -124,16 +104,10 @@ func (s *Stats) snapshot() StatsSnapshot {
 		ReloadOK:     s.reloadOK.Load(),
 		ReloadFailed: s.reloadFailed.Load(),
 	}
-	for i := range s.latency {
-		n := s.latency[i].Load()
-		if n == 0 {
-			continue
-		}
-		var ub int64
-		if i < len(latencyBuckets) {
-			ub = latencyBuckets[i].Milliseconds()
-		}
-		snap.Latency = append(snap.Latency, LatencyBucket{UpperMS: ub, Count: n})
-	}
+	p50, n := s.latency.Quantile(0.50)
+	p99, _ := s.latency.Quantile(0.99)
+	snap.Latency.Samples = n
+	snap.Latency.P50US = float64(p50) / float64(time.Microsecond)
+	snap.Latency.P99US = float64(p99) / float64(time.Microsecond)
 	return snap
 }

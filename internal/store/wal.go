@@ -8,7 +8,8 @@ import (
 	"os"
 )
 
-// Write-ahead log for the streaming-ingest subsystem.
+// Write-ahead log for the streaming-ingest engine and the router's
+// fleet sequencer.
 //
 // Layout:
 //
@@ -98,7 +99,8 @@ func DecodeWALFrame(data []byte) (WALRecord, int, error) {
 }
 
 // WAL is an append-only, fsync-per-append mutation log. Not safe for
-// concurrent use; the ingest engine serialises writers.
+// concurrent use; the ingest engine and the router's sequencer each
+// serialise their calls under their own lock.
 type WAL struct {
 	f        *os.File
 	path     string
