@@ -40,6 +40,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeMutations -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeGraphBinary -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run=Fuzz -fuzz=FuzzWalkShardDeterminism -fuzztime=$(FUZZTIME) ./internal/embed
+	$(GO) test -run=Fuzz -fuzz=FuzzScanShardReply -fuzztime=$(FUZZTIME) ./internal/router
 
 # End-to-end daemon smoke: builds cmd/hsgfd under -race, boots it on a
 # synthetic graph and exercises serve/degrade/shed/drain over real HTTP.
@@ -101,14 +102,16 @@ bench-all:
 # CI smoke: compile and exercise every benchmark briefly so benchmark
 # code cannot rot, without paying for stable timings. The embedding
 # benchmarks train real models (seconds per op), so they run once.
-# The warm-cache alloc-budget test rides along: a warm 8-root
-# /v1/features request over 100 allocations fails the target (timings
-# drift with load; allocation counts are deterministic, so this is the
-# fast-path regression gate CI can enforce).
+# The warm-cache alloc-budget tests ride along: a warm 8-root
+# /v1/features request over 100 allocations on the daemon, or over 500
+# through the router and a 2-shard fleet, fails the target (timings
+# drift with load; allocation counts are deterministic, so these are the
+# fast-path regression gates CI can enforce).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/core ./internal/serve
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/embed
 	$(GO) test -run TestWarmServeAllocBudget -count=1 -v ./internal/serve
+	$(GO) test -run TestWarmRouterAllocBudget -count=1 -v ./internal/router
 
 # Tracked scale ladder (cmd/bench): hierarchical graphs at
 # 10^4/10^5/10^6 nodes, measuring build time, binary-vs-TSV snapshot

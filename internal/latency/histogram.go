@@ -100,3 +100,22 @@ func bound(b int) time.Duration {
 	exp, sub := minExp+(b-1)>>subBits, (b-1)&(1<<subBits-1)
 	return time.Duration(1<<subBits+sub+1) << (exp - subBits)
 }
+
+// Summary is the shape /debug/stats reports a Histogram in: the window's
+// sample count and its p50 and p99 in microseconds.
+type Summary struct {
+	Samples int     `json:"samples"`
+	P50US   float64 `json:"p50_us"`
+	P99US   float64 `json:"p99_us"`
+}
+
+// Summary returns the window's Summary.
+func (h *Histogram) Summary() Summary {
+	p50, n := h.Quantile(0.50)
+	p99, _ := h.Quantile(0.99)
+	return Summary{
+		Samples: n,
+		P50US:   float64(p50) / float64(time.Microsecond),
+		P99US:   float64(p99) / float64(time.Microsecond),
+	}
+}

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hsgf/internal/core"
 	"hsgf/internal/graph"
 	"hsgf/internal/ingest"
 	"hsgf/internal/retry"
@@ -211,7 +210,6 @@ func New(cfg Config) (*Server, error) {
 		sh := &shard{
 			idx: i,
 			brk: serve.NewBreaker(cfg.Breaker),
-			l2g: sm.LocalToGlobal,
 			g2l: g2l,
 		}
 		for _, url := range cfg.Shards[i] {
@@ -339,7 +337,8 @@ func (s *Server) retryPolicy() retry.Policy { return s.cfg.Retry }
 
 // FeaturesResponse is the router's batch response: daemon-shaped rows
 // (bit-compatible with hsgfd's, so clients need not care which tier
-// answered) plus the scatter/gather report.
+// answered) plus the scatter/gather report. handleFeatures writes it by
+// hand (writeFeatures), byte for byte as encoding/json would.
 type FeaturesResponse struct {
 	Rows []serve.FeatureRow `json:"rows"`
 	// Degraded is true when any row is flagged — including rows the
@@ -425,19 +424,23 @@ func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	type shardOutcome struct {
-		idx  int
-		rows []serve.FeatureRow
-		err  error
+		idx   int
+		reply *shardReply
+		err   error
 	}
 	outcomes := make(chan shardOutcome, len(batches))
 	for si, b := range batches {
 		go func(si int, b *shardBatch) {
-			rows, err := s.callShard(r.Context(), s.shards[si], b.roots, &req)
-			outcomes <- shardOutcome{si, rows, err}
+			reply, err := s.callShard(r.Context(), s.shards[si], b.roots, &req)
+			outcomes <- shardOutcome{si, reply, err}
 		}(si, b)
 	}
 
-	resp := FeaturesResponse{Rows: make([]serve.FeatureRow, len(req.Roots))}
+	// Gather: each row is forwarded as the replica wrote it, with the
+	// root rewritten to its global ID (callShard already did that).
+	rows := make([]splicedRow, len(req.Roots))
+	reports := make([]ShardReport, 0, len(batches))
+	degraded := false
 	for range batches {
 		out := <-outcomes
 		b := batches[out.idx]
@@ -449,43 +452,27 @@ func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 			s.stats.unavailableRows.Add(int64(len(b.roots)))
 			report.Error = out.err.Error()
 			for i, pos := range b.positions {
-				resp.Rows[pos] = serve.FeatureRow{
-					Root:      b.roots[i],
-					Flags:     core.FlagShardUnavailable.String(),
-					Truncated: true,
-					Counts:    map[string]int64{},
-				}
+				rows[pos] = splicedRow{root: b.roots[i], tail: unavailableTail}
 			}
-			resp.Degraded = true
+			degraded = true
 		} else {
-			rep := s.shards[out.idx].newestReplicaMeta()
-			report.Generation, report.Fingerprint = rep.generation.Load(), derefString(rep.fingerprint.Load())
+			// The report names the generation that produced these rows.
+			report.Generation, report.Fingerprint = out.reply.generation, out.reply.fingerprint
 			for i, pos := range b.positions {
-				resp.Rows[pos] = out.rows[i]
-				if out.rows[i].Flags != "ok" {
-					resp.Degraded = true
+				rows[pos] = out.reply.rows[i]
+				if !out.reply.rows[i].ok {
+					degraded = true
 				}
 			}
 		}
-		resp.Shards = append(resp.Shards, report)
+		reports = append(reports, report)
 	}
-	if resp.Degraded {
+	if degraded {
 		s.stats.degradedResponses.Add(1)
 	}
-	resp.ElapsedMS = time.Since(start).Milliseconds()
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// newestReplicaMeta picks the replica with the highest observed
-// generation, for batch reports.
-func (sh *shard) newestReplicaMeta() *replica {
-	best := sh.replicas[0]
-	for _, r := range sh.replicas[1:] {
-		if r.generation.Load() > best.generation.Load() {
-			best = r
-		}
-	}
-	return best
+	elapsed := time.Since(start)
+	s.stats.latency.Observe(elapsed)
+	writeFeatures(w, rows, degraded, elapsed.Milliseconds(), reports)
 }
 
 func derefString(p *string) string {

@@ -19,7 +19,7 @@ import (
 )
 
 // shard is the router's client-side view of one partition: its replica
-// set, the ID translation tables from the manifest, a circuit breaker
+// set, the global-to-local ID table from the manifest, a circuit breaker
 // guarding the whole replica set, and the latency histogram feeding the
 // hedging policy.
 type shard struct {
@@ -29,11 +29,9 @@ type shard struct {
 	lat      latency.Histogram // successful shard-call latencies
 	rr       atomic.Uint32     // round-robin replica cursor
 
-	// idMu guards the translation tables: fleet ingest appends new
-	// members as add_node mutations land while feature requests read
-	// concurrently.
+	// idMu guards g2l: fleet ingest adds new members as add_node
+	// mutations land while feature requests read concurrently.
 	idMu sync.RWMutex
-	l2g  []int64         // local ID -> global ID (from the manifest)
 	g2l  map[int64]int64 // global ID -> local ID
 }
 
@@ -45,22 +43,15 @@ func (sh *shard) localOf(global int64) (int64, bool) {
 	return l, ok
 }
 
-// globalOf translates a shard-local ID back to the global ID.
-func (sh *shard) globalOf(local int64) int64 {
-	sh.idMu.RLock()
-	g := sh.l2g[local]
-	sh.idMu.RUnlock()
-	return g
-}
-
-// growIDs appends newly ingested members: globals[i] becomes local ID
-// len(l2g)+i, mirroring graph.ShardMap's deterministic assignment so
-// the router's tables track every shard's own mapping exactly.
+// growIDs adds newly ingested members: globals[i] becomes local ID
+// len(g2l)+i, mirroring graph.ShardMap's deterministic assignment so
+// the router's table tracks every shard's own mapping exactly. Local
+// IDs are dense and members distinct (the manifest maps no global
+// twice; growth admits only non-members), so len(g2l) is the next ID.
 func (sh *shard) growIDs(globals []int64) {
 	sh.idMu.Lock()
 	for _, g := range globals {
-		sh.g2l[g] = int64(len(sh.l2g))
-		sh.l2g = append(sh.l2g, g)
+		sh.g2l[g] = int64(len(sh.g2l))
 	}
 	sh.idMu.Unlock()
 }
@@ -115,13 +106,15 @@ var errNoReplicas = errors.New("router: shard has no replicas")
 // attemptOnce sends one POST /v1/features to one replica and classifies
 // the outcome:
 //   - 200: success; replica marked healthy, latency observed by caller.
+//     The body is read whole and scanned (parseShardReply); a body that
+//     does not parse counts against the replica like a transport error.
 //   - 400: permanent (retrying a malformed request cannot help).
 //   - 429/503: retryable with the server's Retry-After hint attached, so
 //     the backoff honours the hint instead of its own schedule. The
 //     replica answered, so this does NOT count against its health.
 //   - transport error / 5xx: retryable; counts toward the replica's
 //     consecutive-failure trip wire.
-func (s *Server) attemptOnce(ctx context.Context, rep *replica, body []byte) (*serve.FeaturesResponse, error) {
+func (s *Server) attemptOnce(ctx context.Context, rep *replica, body []byte) (*shardReply, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.url+"/v1/features", bytes.NewReader(body))
 	if err != nil {
 		return nil, retry.Permanent(err)
@@ -139,20 +132,31 @@ func (s *Server) attemptOnce(ctx context.Context, rep *replica, body []byte) (*s
 	defer drainBody(resp)
 
 	if resp.StatusCode == http.StatusOK {
-		var fr serve.FeaturesResponse
-		if err := json.NewDecoder(io.LimitReader(resp.Body, maxShardResponseBytes)).Decode(&fr); err != nil {
+		raw, err := readShardBody(resp)
+		if err != nil {
+			if ctx.Err() != nil {
+				return nil, &shardError{replica: rep.url, err: err}
+			}
+			rep.reportFailure(s.cfg.FailAfter)
+			return nil, &shardError{replica: rep.url, err: err, transport: true}
+		}
+		reply, fellBack, err := parseShardReply(raw)
+		if err != nil {
 			rep.reportFailure(s.cfg.FailAfter)
 			return nil, &shardError{replica: rep.url, err: fmt.Errorf("undecodable response: %w", err), transport: true}
 		}
-		rep.reportSuccess()
-		if fr.Generation != 0 {
-			rep.generation.Store(fr.Generation)
+		if fellBack {
+			s.stats.spliceFallbacks.Add(1)
 		}
-		if fr.Fingerprint != "" {
-			fp := fr.Fingerprint
+		rep.reportSuccess()
+		if reply.generation != 0 {
+			rep.generation.Store(reply.generation)
+		}
+		if cur := rep.fingerprint.Load(); reply.fingerprint != "" && (cur == nil || *cur != reply.fingerprint) {
+			fp := reply.fingerprint
 			rep.fingerprint.Store(&fp)
 		}
-		return &fr, nil
+		return reply, nil
 	}
 
 	reason, hint := parseTypedError(resp)
@@ -175,7 +179,7 @@ func (s *Server) attemptOnce(ctx context.Context, rep *replica, body []byte) (*s
 	}
 }
 
-// maxShardResponseBytes bounds a single shard response decode (64 MiB);
+// maxShardResponseBytes bounds a single shard response body (64 MiB);
 // a corrupted or adversarial body cannot OOM the router.
 const maxShardResponseBytes = 64 << 20
 
@@ -227,7 +231,7 @@ func (s *Server) hedgeDelay(sh *shard) time.Duration {
 // different replica. The first success wins and the loser's context is
 // cancelled; if every leg fails, the primary's error is returned (it
 // carries the most representative classification for the retry loop).
-func (s *Server) hedgedCall(ctx context.Context, sh *shard, body []byte) (*serve.FeaturesResponse, error) {
+func (s *Server) hedgedCall(ctx context.Context, sh *shard, body []byte) (*shardReply, error) {
 	reps := sh.healthyReplicas(nil)
 	if len(reps) == 0 {
 		return nil, retry.Permanent(errNoReplicas)
@@ -235,7 +239,7 @@ func (s *Server) hedgedCall(ctx context.Context, sh *shard, body []byte) (*serve
 	primary := reps[int(sh.rrNext())%len(reps)]
 
 	type legResult struct {
-		fr    *serve.FeaturesResponse
+		reply *shardReply
 		err   error
 		hedge bool // the leg the hedge timer launched
 	}
@@ -245,11 +249,11 @@ func (s *Server) hedgedCall(ctx context.Context, sh *shard, body []byte) (*serve
 	results := make(chan legResult, 2)
 	launch := func(rep *replica, hedge bool) {
 		start := time.Now()
-		fr, err := s.attemptOnce(ctx, rep, body)
+		reply, err := s.attemptOnce(ctx, rep, body)
 		if err == nil {
 			sh.lat.Observe(time.Since(start))
 		}
-		results <- legResult{fr, err, hedge}
+		results <- legResult{reply, err, hedge}
 	}
 	go launch(primary, false)
 
@@ -281,7 +285,7 @@ func (s *Server) hedgedCall(ctx context.Context, sh *shard, body []byte) (*serve
 				if res.hedge {
 					s.stats.hedgeWins.Add(1)
 				}
-				return res.fr, nil
+				return res.reply, nil
 			}
 			if firstErr == nil {
 				firstErr = res.err
@@ -310,9 +314,10 @@ func (s *Server) hedgedCall(ctx context.Context, sh *shard, body []byte) (*serve
 
 // callShard resolves one shard's slice of a batch: translate global
 // roots to the shard's local IDs, run the hedged call under the shard's
-// breaker with bounded full-jitter retries, and translate the rows
-// back. The returned rows are ordered exactly as roots.
-func (s *Server) callShard(ctx context.Context, sh *shard, roots []int64, req *serve.FeaturesRequest) ([]serve.FeatureRow, error) {
+// breaker with bounded full-jitter retries, check that the reply holds
+// exactly the requested roots in order, and translate its rows' roots
+// back to global IDs. A reply failing that check is a failed call.
+func (s *Server) callShard(ctx context.Context, sh *shard, roots []int64, req *serve.FeaturesRequest) (*shardReply, error) {
 	done, ok := sh.brk.Acquire()
 	if !ok {
 		s.stats.breakerRejects.Add(1)
@@ -340,7 +345,7 @@ func (s *Server) callShard(ctx context.Context, sh *shard, roots []int64, req *s
 		return nil, err
 	}
 
-	var fr *serve.FeaturesResponse
+	var reply *shardReply
 	pol := s.retryPolicy()
 	err = pol.Do(ctx, func(ctx context.Context, attempt int) error {
 		if attempt > 1 {
@@ -349,29 +354,27 @@ func (s *Server) callShard(ctx context.Context, sh *shard, roots []int64, req *s
 		ctx, cancel := context.WithTimeout(ctx, s.cfg.ShardTimeout)
 		defer cancel()
 		var aerr error
-		fr, aerr = s.hedgedCall(ctx, sh, body)
+		reply, aerr = s.hedgedCall(ctx, sh, body)
 		return aerr
 	})
 	if err != nil {
 		done(true)
 		return nil, err
 	}
-	if len(fr.Rows) != len(roots) {
+	if len(reply.rows) != len(roots) {
 		done(true)
-		return nil, fmt.Errorf("router: shard %d returned %d rows for %d roots", sh.idx, len(fr.Rows), len(roots))
+		return nil, fmt.Errorf("router: shard %d returned %d rows for %d roots", sh.idx, len(reply.rows), len(roots))
+	}
+	for i := range reply.rows {
+		if got := reply.rows[i].root; got != local[i] {
+			done(true)
+			return nil, fmt.Errorf("router: shard %d row %d is root %d, want %d", sh.idx, i, got, local[i])
+		}
+		reply.rows[i].root = roots[i]
 	}
 	done(false)
 	s.stats.shardCalls.Add(1)
-
-	rows := make([]serve.FeatureRow, len(fr.Rows))
-	for i, row := range fr.Rows {
-		if row.Root != local[i] {
-			return nil, fmt.Errorf("router: shard %d row %d is root %d, want %d", sh.idx, i, row.Root, local[i])
-		}
-		row.Root = sh.globalOf(local[i])
-		rows[i] = row
-	}
-	return rows, nil
+	return reply, nil
 }
 
 func (sh *shard) rrNext() uint32 { return sh.rr.Add(1) - 1 }

@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"hsgf/internal/latency"
 )
 
 // routerStats are the routing tier's live counters, exposed at
@@ -19,6 +21,7 @@ type routerStats struct {
 	breakerRejects    atomic.Int64 // shard calls short-circuited by an open breaker
 	unavailableRows   atomic.Int64 // rows degraded shard-unavailable
 	degradedResponses atomic.Int64 // 200s with any flagged row
+	spliceFallbacks   atomic.Int64 // replica bodies decoded by encoding/json, not scanned
 	fleetReloads      atomic.Int64 // fleet reload attempts
 	fleetReloadOK     atomic.Int64
 	fleetReloadFailed atomic.Int64
@@ -29,6 +32,9 @@ type routerStats struct {
 	ingestPartial    atomic.Int64  // acks timed out into 503 fleet_partial_apply
 	ingestGapReplays atomic.Int64  // replica chains repaired after a sequence_gap
 	fleetWatermark   atomic.Uint64 // highest fully confirmed fleet sequence
+
+	// latency holds the durations of recent 200 /v1/features responses.
+	latency latency.Histogram
 }
 
 // StatsResponse is the GET /debug/stats body.
@@ -43,6 +49,9 @@ type StatsResponse struct {
 	BreakerRejects    int64 `json:"breaker_rejects"`
 	UnavailableRows   int64 `json:"unavailable_rows"`
 	DegradedResponses int64 `json:"degraded_responses"`
+	// SpliceFallbacks counts replica bodies in a shape other than the
+	// one serve writes, decoded by encoding/json instead of scanned.
+	SpliceFallbacks   int64 `json:"splice_fallbacks"`
 	FleetReloads      int64 `json:"fleet_reloads"`
 	FleetReloadOK     int64 `json:"fleet_reload_ok"`
 	FleetReloadFailed int64 `json:"fleet_reload_failed"`
@@ -61,6 +70,10 @@ type StatsResponse struct {
 	FleetHistoryItems int   `json:"fleet_history_items,omitempty"`
 	FleetHistoryBytes int64 `json:"fleet_history_bytes,omitempty"`
 	FleetAckedIndex   int   `json:"fleet_acked_index,omitempty"`
+
+	// Latency summarises the durations of the last latency.Window 200
+	// /v1/features responses.
+	Latency latency.Summary `json:"latency"`
 
 	Shards []ShardStats `json:"shards"`
 }
@@ -87,6 +100,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		BreakerRejects:    s.stats.breakerRejects.Load(),
 		UnavailableRows:   s.stats.unavailableRows.Load(),
 		DegradedResponses: s.stats.degradedResponses.Load(),
+		SpliceFallbacks:   s.stats.spliceFallbacks.Load(),
 		FleetReloads:      s.stats.fleetReloads.Load(),
 		FleetReloadOK:     s.stats.fleetReloadOK.Load(),
 		FleetReloadFailed: s.stats.fleetReloadFailed.Load(),
@@ -96,6 +110,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		IngestPartial:     s.stats.ingestPartial.Load(),
 		IngestGapReplays:  s.stats.ingestGapReplays.Load(),
 		FleetWatermark:    s.stats.fleetWatermark.Load(),
+		Latency:           s.stats.latency.Summary(),
 	}
 	if s.fleet != nil {
 		resp.FleetSeqlogBytes, resp.FleetHistoryItems, resp.FleetHistoryBytes, resp.FleetAckedIndex = s.fleet.memStats()

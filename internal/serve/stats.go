@@ -2,7 +2,6 @@ package serve
 
 import (
 	"sync/atomic"
-	"time"
 
 	"hsgf/internal/latency"
 )
@@ -78,11 +77,7 @@ type StatsSnapshot struct {
 
 	// Latency summarises the durations of the last latency.Window 200
 	// /v1/features responses.
-	Latency struct {
-		Samples int     `json:"samples"`
-		P50US   float64 `json:"p50_us"`
-		P99US   float64 `json:"p99_us"`
-	} `json:"latency"`
+	Latency latency.Summary `json:"latency"`
 }
 
 // snapshot captures the counters; breaker state and draining flag are
@@ -103,11 +98,8 @@ func (s *Stats) snapshot() StatsSnapshot {
 		Reloads:      s.reloads.Load(),
 		ReloadOK:     s.reloadOK.Load(),
 		ReloadFailed: s.reloadFailed.Load(),
+
+		Latency: s.latency.Summary(),
 	}
-	p50, n := s.latency.Quantile(0.50)
-	p99, _ := s.latency.Quantile(0.99)
-	snap.Latency.Samples = n
-	snap.Latency.P50US = float64(p50) / float64(time.Microsecond)
-	snap.Latency.P99US = float64(p99) / float64(time.Microsecond)
 	return snap
 }
