@@ -37,6 +37,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzCounterTable -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=Fuzz -fuzz=FuzzStoreEnvelope -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run=Fuzz -fuzz=FuzzWALRecord -fuzztime=$(FUZZTIME) ./internal/store
+	$(GO) test -run=Fuzz -fuzz=FuzzParseIngestSnapshot -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeMutations -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeGraphBinary -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run=Fuzz -fuzz=FuzzWalkShardDeterminism -fuzztime=$(FUZZTIME) ./internal/embed

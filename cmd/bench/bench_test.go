@@ -148,7 +148,7 @@ func TestSuites(t *testing.T) {
 
 	t.Run("ingest", func(t *testing.T) {
 		doc := runSuite(t, "ingest", func() (report, error) { return runIngest(g, 20, 10) })
-		wantKeys(t, "report", doc, "mutations_per_sec", "ingest_to_serve_p50_ms", "speedup_vs_rebuild", "fleet")
+		wantKeys(t, "report", doc, "mutations_per_sec", "ingest_to_serve_p50_ms", "mean_dirty_roots", "fleet")
 		fleet, _ := doc["fleet"].(map[string]any)
 		wantKeys(t, "fleet", fleet, "mutations_per_sec", "ack_p50_ms", "ack_p99_ms")
 		if doc["batches"] != 20.0 || fleet["batches"] != 10.0 {

@@ -2,15 +2,14 @@ package main
 
 // The ingest suite boots a WAL-backed ingest engine over the bench
 // graph and drives a deterministic stream of mutation batches through
-// the full durable path — validate, WAL fsync, incremental dirty-ball
-// recompute, publish. The tracked numbers are mutations/sec and
-// batches/sec of sustained durable throughput, the ingest-to-serve
-// latency distribution (p50/p99 from Apply entry to published state —
-// what a client waits between ack and readable freshness), the
-// dirty-set sizes that make incremental maintenance pay, and the
-// measured speedup of a dirty-ball recompute over a from-scratch
-// CensusAll of the whole graph. The same stream then runs through the
-// router's sequenced fan-out over an in-process follower fleet.
+// the full durable path — validate, WAL fsync, graph rebuild, dirty
+// ball, publish. The tracked numbers are mutations/sec and batches/sec
+// of sustained durable throughput, the ingest-to-serve latency
+// distribution (p50/p99 from Apply entry to published state — what a
+// client waits between ack and readable freshness), and the dirty-set
+// sizes, which bound the cached rows a batch can invalidate. The same
+// stream then runs through the router's sequenced fan-out over an
+// in-process follower fleet.
 
 import (
 	"bytes"
@@ -52,28 +51,22 @@ type ingestReport struct {
 	MutationsPerSec float64 `json:"mutations_per_sec"`
 
 	// Ingest-to-serve: Apply entry to published (serving) state,
-	// including the WAL fsync and the incremental recompute.
+	// including the WAL fsync and the graph rebuild.
 	IngestToServeP50MS float64 `json:"ingest_to_serve_p50_ms"`
 	IngestToServeP99MS float64 `json:"ingest_to_serve_p99_ms"`
 
 	MeanDirtyRoots float64 `json:"mean_dirty_roots"`
 	MaxDirtyRoots  int     `json:"max_dirty_roots"`
 	// MeanDirtyFrac is mean dirty roots over graph size — the fraction of
-	// census work a full rebuild would waste per batch.
+	// roots whose census a batch can have changed.
 	MeanDirtyFrac float64 `json:"mean_dirty_frac"`
 
 	Compactions uint64 `json:"compactions"`
 	WALBytes    int64  `json:"wal_bytes"`
 
-	// FullRebuildMS times one from-scratch CensusAll over every root on
-	// the final graph; SpeedupVsRebuild is that divided by the mean
-	// incremental apply time (how much the delta path saves per batch).
-	FullRebuildMS    float64 `json:"full_rebuild_ms"`
-	SpeedupVsRebuild float64 `json:"speedup_vs_rebuild"`
-
 	// Fleet is the same durable path through the full sequenced fan-out:
 	// router sequencer WAL fsync, per-shard sub-batch fan-out, and every
-	// replica's own WAL fsync + incremental recompute before the ack.
+	// replica's own WAL fsync + graph rebuild before the ack.
 	Fleet *fleetReport `json:"fleet"`
 }
 
@@ -155,8 +148,8 @@ func runFleetIngest(dir string, g *graph.Graph, opts core.Options, nShards, batc
 			return nil, err
 		}
 		engines = append(engines, eng)
-		_, ex, fs, gen, _ := eng.State()
-		ss := serve.NewServerSnapshot(&serve.Snapshot{Extractor: ex, Features: fs, Generation: gen, Source: "ingest"}, serve.Config{})
+		_, ex, _, gen, _ := eng.State()
+		ss := serve.NewServerSnapshot(&serve.Snapshot{Extractor: ex, Generation: gen, Source: "ingest"}, serve.Config{})
 		ss.SetIngestor(eng, "ingest")
 		ss.SetFleetFollower(true)
 		ts := httptest.NewServer(ss.Handler())
@@ -275,25 +268,6 @@ func runIngest(g *graph.Graph, batches, fleetBatches int) (report, error) {
 	stats := eng.Stats()
 	rep.Compactions = stats.Compactions
 	rep.WALBytes = stats.WALBytes
-
-	// The counterfactual: what every batch would cost without delta
-	// maintenance — a full CensusAll over the final graph.
-	ex, err := core.NewExtractor(final, opts)
-	if err != nil {
-		return nil, err
-	}
-	roots := make([]graph.NodeID, final.NumNodes())
-	for i := range roots {
-		roots[i] = graph.NodeID(i)
-	}
-	rebuildStart := time.Now()
-	ex.CensusAll(roots, 0)
-	rebuild := time.Since(rebuildStart)
-	rep.FullRebuildMS = float64(rebuild.Microseconds()) / 1000
-	meanApply := elapsed / time.Duration(batches)
-	if meanApply > 0 {
-		rep.SpeedupVsRebuild = float64(rebuild) / float64(meanApply)
-	}
 
 	rep.Fleet, err = runFleetIngest(filepath.Join(dir, "fleet"), g, opts, ingestFleetShards, fleetBatches)
 	if err != nil {

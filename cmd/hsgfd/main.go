@@ -41,13 +41,13 @@
 //
 // With -ingest (requires -store) the daemon accepts streaming graph
 // mutations on POST /v1/ingest: each batch is made durable in a
-// write-ahead log before it is acknowledged, only the census rows
-// inside the mutations' distance-≤emax ball are recomputed, and the
-// updated state is swapped into the serving path before the ack is
-// sent. On restart — clean or after a crash — the daemon recovers from
-// the newest verified ingest snapshot plus the WAL tail, so no acked
-// batch is ever lost and replayed batch IDs are acknowledged without
-// being applied twice. In ingest mode the engine owns the serving
+// write-ahead log before it is acknowledged, and the mutated graph is
+// swapped into the serving path before the ack is sent (the ack reports
+// the size of the mutations' distance-≤emax dirty ball; rows are
+// computed on demand from the new graph). On restart — clean or after a
+// crash — the daemon recovers from the newest verified ingest snapshot
+// plus the WAL tail, so no acked batch is ever lost and replayed batch
+// IDs are acknowledged without being applied twice. In ingest mode the engine owns the serving
 // state, so artifact hot reload (-store generations via SIGHUP or
 // /v1/admin/reload) is disabled, and -dmax-percentile is rejected: a
 // percentile cutoff would drift as the graph mutates, silently changing
@@ -105,7 +105,6 @@ func main() {
 
 		ingestOn      = flag.Bool("ingest", false, "accept streaming graph mutations on POST /v1/ingest (requires -store)")
 		ingestCompact = flag.Int("ingest-compact-every", 0, "fold the WAL into a snapshot after this many batches (0 = engine default)")
-		ingestWorkers = flag.Int("ingest-workers", 0, "census workers for incremental recomputation (0 = GOMAXPROCS)")
 		fleetFollower = flag.Bool("fleet-follower", false, "accept only hsgf-router-sequenced fleet batches on /v1/ingest (requires -ingest); direct client writes get 403")
 
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
@@ -251,7 +250,6 @@ func main() {
 		eng, err = ingest.Open(ingest.Config{
 			Store:             st,
 			Opts:              hsgf.Options{MaxEdges: *emax, MaskRootLabel: *mask, MaxDegree: *dmax},
-			Workers:           *ingestWorkers,
 			CompactEvery:      *ingestCompact,
 			MaxBatchMutations: maxBatch,
 			Log:               logger.Printf,
@@ -272,13 +270,11 @@ func main() {
 		defer eng.Close()
 
 		source := "ingest:" + *storeDir
-		_, ex, fs, gen, lastSeq := eng.State()
-		g := ex.Graph()
+		g, ex, _, gen, lastSeq := eng.State()
 		logger.Printf("ingest: serving %d nodes, %d edges at generation %d, watermark %d",
 			g.NumNodes(), g.NumEdges(), gen, lastSeq)
 		srv = serve.NewServerSnapshot(&serve.Snapshot{
 			Extractor:  ex,
-			Features:   fs,
 			Generation: gen,
 			Source:     source,
 		}, serveCfg)

@@ -12,28 +12,41 @@ import (
 	"hsgf/internal/store"
 )
 
-// fullRebuildCounts extracts every root's census from scratch on g and
+// censusCounts extracts every root's census from scratch on g and
 // returns the canonical per-root key -> count maps.
-func fullRebuildCounts(t *testing.T, g *graph.Graph, opts core.Options) []map[uint64]int64 {
+func censusCounts(t *testing.T, g *graph.Graph, opts core.Options) []map[uint64]int64 {
 	t.Helper()
 	ex, err := core.NewExtractor(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	roots := make([]graph.NodeID, g.NumNodes())
-	for i := range roots {
-		roots[i] = graph.NodeID(i)
-	}
-	censuses := ex.CensusAll(roots, 0)
-	out := make([]map[uint64]int64, len(censuses))
-	for i, c := range censuses {
-		m := make(map[uint64]int64, len(c.Counts))
-		for k, v := range c.Counts {
-			m[k] = v
-		}
-		out[i] = m
+	out := make([]map[uint64]int64, g.NumNodes())
+	for v := range out {
+		out[v] = ex.Census(graph.NodeID(v)).Counts
 	}
 	return out
+}
+
+// assertChangedAreDirty fails unless every root whose from-scratch
+// census differs between before and after — every root new in after
+// included — is in dirty.
+func assertChangedAreDirty(t *testing.T, label string, before, after []map[uint64]int64, dirty []graph.NodeID) {
+	t.Helper()
+	inBall := make(map[graph.NodeID]bool, len(dirty))
+	for _, r := range dirty {
+		inBall[r] = true
+	}
+	for v := range after {
+		if inBall[graph.NodeID(v)] {
+			continue
+		}
+		if v >= len(before) {
+			t.Fatalf("%s: new root %d is not dirty", label, v)
+		}
+		if !sameCounts(before[v], after[v]) {
+			t.Fatalf("%s: root %d census changed but the root is not dirty\nbefore: %v\nafter:  %v", label, v, before[v], after[v])
+		}
+	}
 }
 
 // randomBatch builds 1..4 random mutations that are valid against g in
@@ -76,11 +89,11 @@ func randomBatch(rng *rand.Rand, g *graph.Graph) []graph.Mutation {
 
 // TestDifferentialRandomStream drives random mutation batches through
 // the engine on a datagen publication graph and, after every batch,
-// (1) proves the incremental feature set equals a from-scratch
-// CensusAll over the whole mutated graph, and (2) proves rows outside
-// the dirty ball were NOT recomputed — they share their backing arrays
-// with the previous generation's rows, which a recompute (always
-// allocating fresh slices) cannot.
+// proves the reported dirty ball covers every root whose census
+// changed: from-scratch censuses of the graph before and after the
+// batch are compared root by root, and every root that differs (or is
+// new) must be in Result.DirtyRoots. Readers that keep rows for clean
+// roots rely on exactly this.
 func TestDifferentialRandomStream(t *testing.T) {
 	cfg := datagen.PublicationConfig{
 		Institutions:      8,
@@ -115,43 +128,17 @@ func TestDifferentialRandomStream(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(42))
 	ctx := context.Background()
-	_, _, prevFS, _, _ := e.State()
+	prev, _, _, _, _ := e.State()
+	before := censusCounts(t, prev, opts)
 	for batch := 0; batch < 12; batch++ {
-		muts := randomBatch(rng, func() *graph.Graph { g, _, _, _, _ := e.State(); return g }())
+		muts := randomBatch(rng, prev)
 		res, err := e.Apply(ctx, fmt.Sprintf("diff-%d", batch), muts)
 		if err != nil {
 			t.Fatalf("batch %d: %v", batch, err)
 		}
-
-		want := fullRebuildCounts(t, res.Graph, opts)
-		if len(res.Features.Rows) != len(want) {
-			t.Fatalf("batch %d: %d rows for %d nodes", batch, len(res.Features.Rows), len(want))
-		}
-		for v := range want {
-			if got := rowCounts(res.Features, v); !sameCounts(got, want[v]) {
-				t.Fatalf("batch %d: root %d incremental census != full rebuild\nincremental: %v\nrebuild:     %v",
-					batch, v, got, want[v])
-			}
-		}
-
-		// Clean roots must not have been recomputed.
-		dirty := make(map[graph.NodeID]bool, len(res.DirtyRoots))
-		for _, r := range res.DirtyRoots {
-			dirty[r] = true
-		}
-		for v := 0; v < len(prevFS.Rows); v++ {
-			if dirty[graph.NodeID(v)] {
-				continue
-			}
-			oldRow, newRow := prevFS.Rows[v], res.Features.Rows[v]
-			if len(oldRow.Columns) != len(newRow.Columns) {
-				t.Fatalf("batch %d: clean root %d changed shape", batch, v)
-			}
-			if len(newRow.Columns) > 0 && &newRow.Columns[0] != &oldRow.Columns[0] {
-				t.Fatalf("batch %d: clean root %d was recomputed (fresh backing array)", batch, v)
-			}
-		}
-		prevFS = res.Features
+		after := censusCounts(t, res.Graph, opts)
+		assertChangedAreDirty(t, fmt.Sprintf("batch %d", batch), before, after, res.DirtyRoots)
+		prev, before = res.Graph, after
 	}
 	if e.Stats().Compactions == 0 {
 		t.Fatal("stream never exercised compaction")
@@ -219,11 +206,11 @@ func TestDifferentialEmaxBoundary(t *testing.T) {
 		}
 	}
 
-	// The radius is semantically tight: against a full rebuild, the root
-	// at distance exactly emax has a CHANGED census and the root at
-	// emax+1 an unchanged one.
-	before := fullRebuildCounts(t, build(-1), opts)
-	after := fullRebuildCounts(t, build(touched), opts)
+	// The radius is semantically tight: from scratch, the root at
+	// distance exactly emax has a CHANGED census and the root at emax+1
+	// an unchanged one.
+	before := censusCounts(t, build(-1), opts)
+	after := censusCounts(t, res.Graph, opts)
 	atEmax, beyond := touched-emax, touched-emax-1
 	if sameCounts(before[atEmax], after[atEmax]) {
 		t.Errorf("census of root at distance emax did not change; radius emax-1 would have sufficed")
@@ -231,10 +218,6 @@ func TestDifferentialEmaxBoundary(t *testing.T) {
 	if !sameCounts(before[beyond], after[beyond]) {
 		t.Errorf("census of root at distance emax+1 changed; radius emax is too small")
 	}
-	// And the incremental rows equal the rebuild everywhere.
-	for v := 0; v < n; v++ {
-		if got := rowCounts(res.Features, v); !sameCounts(got, after[v]) {
-			t.Errorf("root %d: incremental != rebuild", v)
-		}
-	}
+	// And every changed root is dirty.
+	assertChangedAreDirty(t, "boundary", before, after, res.DirtyRoots)
 }

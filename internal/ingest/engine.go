@@ -23,8 +23,8 @@ const (
 )
 
 // ErrBatchInvalid marks a batch rejected by validation before anything
-// was written: the WAL, the graph, and the feature set are untouched
-// and the batch was not acked.
+// was written: the WAL and the graph are untouched and the batch was
+// not acked.
 var ErrBatchInvalid = errors.New("ingest: invalid batch")
 
 // Config configures an Engine.
@@ -34,12 +34,9 @@ type Config struct {
 	// WALPath is the write-ahead log file; defaults to "ingest.wal"
 	// inside the store directory.
 	WALPath string
-	// Opts is the census extraction configuration; Opts.MaxEdges is
-	// also the dirty-ball radius.
+	// Opts is the census extraction configuration of the published
+	// Extractors; Opts.MaxEdges is also the dirty-ball radius.
 	Opts core.Options
-	// Workers bounds the census workers used per recompute; <= 0 means
-	// GOMAXPROCS (the Extractor's own default).
-	Workers int
 	// CompactEvery folds the WAL into a snapshot generation after this
 	// many applied batches; <= 0 means DefaultCompactEvery.
 	CompactEvery int
@@ -58,16 +55,16 @@ type Config struct {
 // sequence the batch was originally applied at and DirtyRoots is nil;
 // the state fields carry the current generation either way.
 type Result struct {
-	Seq        uint64
-	BatchID    string
-	Replayed   bool
+	Seq      uint64
+	BatchID  string
+	Replayed bool
+	// DirtyRoots is the batch's distance-≤emax ball: every root whose
+	// census the batch can have changed (core.DirtySet).
 	DirtyRoots []graph.NodeID
-	NewColumns int
 	Elapsed    time.Duration
 
 	Graph      *graph.Graph
 	Extractor  *core.Extractor
-	Features   *core.FeatureSet
 	Generation uint64
 }
 
@@ -93,18 +90,17 @@ type Stats struct {
 }
 
 // Engine is the single-writer streaming-ingest core: it owns the
-// mutable graph + feature state, the WAL, and the compaction cycle.
-// Apply serialises writers behind one mutex; readers never take it —
-// they consume the immutable (Graph, Extractor, FeatureSet) triple the
-// publish hook hands out, RCU-style.
+// mutable graph, the WAL, and the compaction cycle. It computes no
+// feature rows; readers census the published graph on demand. Apply
+// serialises writers behind one mutex; readers never take it — they
+// consume the immutable (Graph, Extractor) pair the publish hook hands
+// out, RCU-style.
 type Engine struct {
 	cfg Config
 
 	mu      sync.Mutex
 	g       *graph.Graph
 	ex      *core.Extractor
-	fs      *core.FeatureSet
-	vocab   *core.Vocabulary
 	wal     *store.WAL
 	lastSeq uint64
 	gen     uint64
@@ -134,13 +130,13 @@ type Engine struct {
 // Open loads (or seeds) the ingest state and replays the WAL tail.
 //
 // Recovery order: newest verified ingest snapshot (corrupt generations
-// are quarantined and older ones tried), else seed() plus a full census
-// build persisted as generation 1; then every WAL record with a
-// sequence above the snapshot's watermark is re-applied. Records at or
-// below the watermark are already folded — the crash window between a
-// compaction's snapshot write and its WAL reset leaves them behind
-// harmlessly. A sequence gap above the watermark means acked data was
-// lost and is a hard error, not a silent skip.
+// are quarantined and older ones tried), else seed() persisted as
+// generation 1; then every WAL record with a sequence above the
+// snapshot's watermark is re-applied. Records at or below the watermark
+// are already folded — the crash window between a compaction's snapshot
+// write and its WAL reset leaves them behind harmlessly. A sequence gap
+// above the watermark means acked data was lost and is a hard error,
+// not a silent skip.
 func Open(cfg Config, seed func() (*graph.Graph, error)) (*Engine, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("ingest: Config.Store is required")
@@ -169,7 +165,7 @@ func Open(cfg Config, seed func() (*graph.Graph, error)) (*Engine, error) {
 	state, gen, err := loadSnapshot(cfg.Store)
 	switch {
 	case err == nil:
-		e.g, e.fs, e.gen, e.lastSeq = state.g, state.fs, gen, state.meta.LastSeq
+		e.g, e.gen, e.lastSeq = state.g, gen, state.meta.LastSeq
 		for id, seq := range state.meta.Batches {
 			e.applied[id] = seq
 			e.appliedOrder = append(e.appliedOrder, id)
@@ -186,9 +182,7 @@ func Open(cfg Config, seed func() (*graph.Graph, error)) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ingest: seed: %w", err)
 		}
-		if err := e.buildFromGraph(g); err != nil {
-			return nil, err
-		}
+		e.g = g
 		if err := e.writeSnapshot(); err != nil {
 			return nil, fmt.Errorf("ingest: persist seed snapshot: %w", err)
 		}
@@ -197,20 +191,8 @@ func Open(cfg Config, seed func() (*graph.Graph, error)) (*Engine, error) {
 		return nil, err
 	}
 
-	if e.ex == nil {
-		ex, err := core.NewExtractor(e.g, cfg.Opts)
-		if err != nil {
-			return nil, err
-		}
-		e.ex = ex
-	}
-	if e.fs.MaxEdges != cfg.Opts.MaxEdges || e.fs.MaskRootLabel != cfg.Opts.MaskRootLabel || e.fs.MaxDegree != cfg.Opts.MaxDegree {
-		return nil, fmt.Errorf("ingest: snapshot was extracted with emax=%d dmax=%d mask=%v, config wants emax=%d dmax=%d mask=%v (rebuild required)",
-			e.fs.MaxEdges, e.fs.MaxDegree, e.fs.MaskRootLabel, cfg.Opts.MaxEdges, cfg.Opts.MaxDegree, cfg.Opts.MaskRootLabel)
-	}
-	e.vocab = core.NewVocabulary()
-	for _, f := range e.fs.Features {
-		e.vocab.Add(f.Key)
+	if e.ex, err = core.NewExtractor(e.g, cfg.Opts); err != nil {
+		return nil, err
 	}
 
 	wal, records, err := store.OpenWAL(cfg.WALPath)
@@ -246,26 +228,6 @@ func Open(cfg Config, seed func() (*graph.Graph, error)) (*Engine, error) {
 	return e, nil
 }
 
-// buildFromGraph computes the full census feature set for a seed graph.
-func (e *Engine) buildFromGraph(g *graph.Graph) error {
-	ex, err := core.NewExtractor(g, e.cfg.Opts)
-	if err != nil {
-		return err
-	}
-	roots := make([]graph.NodeID, g.NumNodes())
-	for i := range roots {
-		roots[i] = graph.NodeID(i)
-	}
-	censuses := ex.CensusAll(roots, e.cfg.Workers)
-	vocab := core.VocabularyOf(censuses)
-	fs, err := core.NewFeatureSet(ex, censuses, vocab)
-	if err != nil {
-		return err
-	}
-	e.g, e.ex, e.fs, e.vocab = g, ex, fs, vocab
-	return nil
-}
-
 // SetPublish installs the hook that receives each Apply's Result while
 // the engine mutex is held — successive publishes are therefore ordered
 // by sequence number, which is what lets a server swap serving
@@ -273,23 +235,24 @@ func (e *Engine) buildFromGraph(g *graph.Graph) error {
 // Call before serving traffic.
 //
 // Contract: a replayed ack (Result.Replayed) carries the engine's
-// CURRENT state pointers — the identical Extractor/Features the hook
-// saw on the last genuine publish, never a rebuilt copy. Subscribers
-// use that pointer identity to recognise a no-op republish and keep
-// derived state (the serving layer's feature-row cache above all)
-// intact through duplicate-replay storms.
+// CURRENT state pointers — the identical Extractor the hook saw on the
+// last genuine publish, never a rebuilt copy. Subscribers use that
+// pointer identity to recognise a no-op republish and keep derived
+// state (the serving layer's feature-row cache above all) intact
+// through duplicate-replay storms.
 func (e *Engine) SetPublish(fn func(Result)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.publish = fn
 }
 
-// State returns the current (graph, extractor, features, generation,
-// watermark) under the engine lock.
+// State returns the current (graph, extractor, nil, generation,
+// watermark) under the engine lock. The engine keeps no feature rows,
+// so the third result is always nil.
 func (e *Engine) State() (*graph.Graph, *core.Extractor, *core.FeatureSet, uint64, uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.g, e.ex, e.fs, e.gen, e.lastSeq
+	return e.g, e.ex, nil, e.gen, e.lastSeq
 }
 
 // Apply validates, logs, and applies one mutation batch, returning
@@ -302,7 +265,7 @@ func (e *Engine) State() (*graph.Graph, *core.Extractor, *core.FeatureSet, uint6
 //     (ErrBatchInvalid); nothing is written, nothing is acked.
 //   - Otherwise the batch is appended to the WAL and fsynced (the ack
 //     point — a crash after Apply returns cannot lose it), then the
-//     graph is rebuilt, the dirty ball recomputed, and the new state
+//     graph is rebuilt, its dirty ball computed, and the new state
 //     published.
 //
 // Writers are serialised; the context is only consulted before the
@@ -412,11 +375,10 @@ func (e *Engine) applyLocked(batchID string, muts []graph.Mutation, seq uint64) 
 	return e.applyOverlay(batchID, overlay, seq)
 }
 
-// applyOverlay materialises the staged overlay, recomputes the dirty
+// applyOverlay materialises the staged overlay, computes the dirty
 // ball, and installs the new state. Caller holds e.mu and has made the
 // batch durable.
 func (e *Engine) applyOverlay(batchID string, overlay *graph.Overlay, seq uint64) (Result, error) {
-	oldG := e.g
 	newG, err := overlay.Materialize()
 	if err != nil {
 		return Result{}, err
@@ -425,13 +387,9 @@ func (e *Engine) applyOverlay(batchID string, overlay *graph.Overlay, seq uint64
 	if err != nil {
 		return Result{}, err
 	}
-	dirty := core.DirtySet(oldG, newG, overlay.Touched(), e.cfg.Opts.MaxEdges)
-	fs, newCols, err := e.patchFeatures(ex, dirty, newG.NumNodes())
-	if err != nil {
-		return Result{}, err
-	}
+	dirty := core.DirtySet(e.g, newG, overlay.Touched(), e.cfg.Opts.MaxEdges)
 
-	e.g, e.ex, e.fs = newG, ex, fs
+	e.g, e.ex = newG, ex
 	e.lastSeq = seq
 	e.applied[batchID] = seq
 	e.appliedOrder = append(e.appliedOrder, batchID)
@@ -446,101 +404,10 @@ func (e *Engine) applyOverlay(batchID string, overlay *graph.Overlay, seq uint64
 		Seq:        seq,
 		BatchID:    batchID,
 		DirtyRoots: dirty,
-		NewColumns: newCols,
 		Graph:      newG,
 		Extractor:  ex,
-		Features:   fs,
 		Generation: e.gen,
 	}, nil
-}
-
-// patchFeatures recomputes the census rows for the dirty roots and
-// splices them into a copy-on-write clone of the feature set. The
-// previous FeatureSet (shared with in-flight readers of the old serving
-// snapshot) is never mutated: outer slices are copied, untouched
-// FeatureRow values are shared, dirty rows get fresh slices. The
-// vocabulary only ever appends columns, so existing sparse rows stay
-// valid verbatim.
-func (e *Engine) patchFeatures(ex *core.Extractor, dirty []graph.NodeID, numNodes int) (*core.FeatureSet, int, error) {
-	censuses := ex.CensusAll(dirty, e.cfg.Workers)
-	oldCols := e.vocab.Len()
-	for _, c := range censuses {
-		if c != nil {
-			e.vocab.AddCensus(c)
-		}
-	}
-	newCols := e.vocab.Len() - oldCols
-
-	old := e.fs
-	fs := &core.FeatureSet{
-		MaxEdges:      old.MaxEdges,
-		MaxDegree:     old.MaxDegree,
-		MaskRootLabel: old.MaskRootLabel,
-		LabelSlots:    old.LabelSlots,
-		SlotNames:     old.SlotNames,
-	}
-	fs.Features = make([]core.FeatureDef, e.vocab.Len())
-	copy(fs.Features, old.Features)
-	for c := oldCols; c < e.vocab.Len(); c++ {
-		key := e.vocab.Key(c)
-		seqv, ok := ex.Decode(key)
-		if !ok {
-			return nil, 0, fmt.Errorf("ingest: new vocabulary key %x has no representative", key)
-		}
-		fs.Features[c] = core.FeatureDef{Key: key, Sequence: seqv.Values, Encoding: seqv.String(ex.SlotName)}
-	}
-
-	fs.Roots = make([]int64, numNodes)
-	fs.Rows = make([]core.FeatureRow, numNodes)
-	for i := range fs.Roots {
-		fs.Roots[i] = int64(i)
-	}
-	copy(fs.Rows, old.Rows)
-
-	needFlags := len(old.RowFlags) > 0
-	for _, c := range censuses {
-		if c != nil && c.Flags != 0 {
-			needFlags = true
-		}
-	}
-	if needFlags {
-		fs.RowFlags = make([]uint8, numNodes)
-		copy(fs.RowFlags, old.RowFlags)
-	}
-
-	for i, c := range censuses {
-		root := int(dirty[i])
-		if c == nil {
-			continue
-		}
-		var row core.FeatureRow
-		if n := len(c.Counts); n > 0 {
-			row.Columns = make([]int, 0, n)
-			row.Counts = make([]int64, 0, n)
-			keys := make([]uint64, 0, n)
-			for k := range c.Counts {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(a, b int) bool {
-				ca, _ := e.vocab.Index(keys[a])
-				cb, _ := e.vocab.Index(keys[b])
-				return ca < cb
-			})
-			for _, k := range keys {
-				col, ok := e.vocab.Index(k)
-				if !ok {
-					return nil, 0, fmt.Errorf("ingest: census key %x missing from vocabulary", k)
-				}
-				row.Columns = append(row.Columns, col)
-				row.Counts = append(row.Counts, c.Counts[k])
-			}
-		}
-		fs.Rows[root] = row
-		if needFlags {
-			fs.RowFlags[root] = uint8(c.Flags)
-		}
-	}
-	return fs, newCols, nil
 }
 
 // currentResult packages the current state for a replayed ack. Caller
@@ -551,7 +418,6 @@ func (e *Engine) currentResult(batchID string, seq uint64) Result {
 		BatchID:    batchID,
 		Graph:      e.g,
 		Extractor:  e.ex,
-		Features:   e.fs,
 		Generation: e.gen,
 	}
 }
@@ -580,7 +446,6 @@ func (e *Engine) writeSnapshot() error {
 	sections, err := snapshotSections(&ingestState{
 		meta: ingestMeta{Schema: ingestSchema, LastSeq: e.lastSeq, Batches: batches},
 		g:    e.g,
-		fs:   e.fs,
 	})
 	if err != nil {
 		return err

@@ -50,17 +50,6 @@ func openEngine(t *testing.T, cfg Config) *Engine {
 	return e
 }
 
-// rowCounts extracts root's row as an encoding-key -> count map, the
-// column-order-independent canonical form.
-func rowCounts(fs *core.FeatureSet, root int) map[uint64]int64 {
-	out := make(map[uint64]int64)
-	row := fs.Rows[root]
-	for i, col := range row.Columns {
-		out[fs.Features[col].Key] = row.Counts[i]
-	}
-	return out
-}
-
 func sameCounts(a, b map[uint64]int64) bool {
 	if len(a) != len(b) {
 		return false
@@ -73,11 +62,11 @@ func sameCounts(a, b map[uint64]int64) bool {
 	return true
 }
 
-// assertEqualStates compares two engines' graphs and feature rows.
+// assertEqualStates compares two engines' graphs and watermarks.
 func assertEqualStates(t *testing.T, a, b *Engine) {
 	t.Helper()
-	ga, _, fsa, _, seqA := a.State()
-	gb, _, fsb, _, seqB := b.State()
+	ga, _, _, _, seqA := a.State()
+	gb, _, _, _, seqB := b.State()
 	if seqA != seqB {
 		t.Fatalf("watermarks differ: %d vs %d", seqA, seqB)
 	}
@@ -97,21 +86,13 @@ func assertEqualStates(t *testing.T, a, b *Engine) {
 	if !equal {
 		t.Fatal("edge sets differ")
 	}
-	if len(fsa.Rows) != len(fsb.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(fsa.Rows), len(fsb.Rows))
-	}
-	for v := range fsa.Rows {
-		if !sameCounts(rowCounts(fsa, v), rowCounts(fsb, v)) {
-			t.Fatalf("census row %d differs", v)
-		}
-	}
 }
 
 func TestEngineSeedAndApply(t *testing.T) {
 	e := openEngine(t, testConfig(t, t.TempDir()))
-	g, _, fs, gen, seq := e.State()
-	if g.NumNodes() != 4 || len(fs.Rows) != 4 || gen != 1 || seq != 0 {
-		t.Fatalf("seed state: %s, %d rows, gen %d, seq %d", g, len(fs.Rows), gen, seq)
+	g, _, _, gen, seq := e.State()
+	if g.NumNodes() != 4 || gen != 1 || seq != 0 {
+		t.Fatalf("seed state: %s, gen %d, seq %d", g, gen, seq)
 	}
 
 	res, err := e.Apply(context.Background(), "b1", []graph.Mutation{
@@ -126,9 +107,6 @@ func TestEngineSeedAndApply(t *testing.T) {
 	}
 	if res.Graph.NumNodes() != 5 || !res.Graph.HasEdge(0, 4) {
 		t.Fatalf("mutated graph %s", res.Graph)
-	}
-	if len(res.Features.Rows) != 5 {
-		t.Fatalf("feature set has %d rows", len(res.Features.Rows))
 	}
 	// The new node and its neighbourhood are dirty; with emax=2 the
 	// ball around {0,4} covers 0,1,4 plus 0's and 1's neighbours.
@@ -321,7 +299,11 @@ func TestEngineIndexEviction(t *testing.T) {
 	}
 }
 
-func TestEngineRefusesOptionMismatch(t *testing.T) {
+// TestEngineReopensUnderNewOptions pins that the snapshot holds no
+// extraction options: a store written at emax 2 reopens at emax 3, and
+// the extractors it publishes, at boot and after a batch, use the new
+// config.
+func TestEngineReopensUnderNewOptions(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(t, dir)
 	e := openEngine(t, cfg)
@@ -329,8 +311,17 @@ func TestEngineRefusesOptionMismatch(t *testing.T) {
 
 	cfg2 := cfg
 	cfg2.Opts.MaxEdges = 3
-	if _, err := Open(cfg2, seedGraph); err == nil {
-		t.Fatal("engine opened over a snapshot extracted with different options")
+	e2 := openEngine(t, cfg2)
+	_, ex, _, gen, _ := e2.State()
+	if gen != 1 || ex.Options().MaxEdges != 3 {
+		t.Fatalf("reopened at generation %d with emax %d, want generation 1 at emax 3", gen, ex.Options().MaxEdges)
+	}
+	res, err := e2.Apply(context.Background(), "b1", []graph.Mutation{{Op: graph.OpAddEdge, U: 0, V: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Extractor.Options().MaxEdges; got != 3 {
+		t.Fatalf("published extractor has emax %d, want 3", got)
 	}
 }
 
@@ -378,9 +369,9 @@ func TestEngineSnapshotRoundTripValidation(t *testing.T) {
 
 // TestReplayPublishesIdenticalState pins the SetPublish replay
 // contract: a replayed ack hands the hook the engine's CURRENT state
-// pointers — the identical Extractor/Features the last genuine publish
-// carried — so subscribers can recognise the no-op by pointer identity
-// and keep derived state (the serving layer's row cache) intact.
+// pointers — the identical Extractor the last genuine publish carried —
+// so subscribers can recognise the no-op by pointer identity and keep
+// derived state (the serving layer's row cache) intact.
 func TestReplayPublishesIdenticalState(t *testing.T) {
 	e := openEngine(t, testConfig(t, t.TempDir()))
 	var published []Result
@@ -401,7 +392,7 @@ func TestReplayPublishesIdenticalState(t *testing.T) {
 	if len(published) != 2 {
 		t.Fatalf("published %d results, want 2 (replays publish too)", len(published))
 	}
-	if published[1].Extractor != published[0].Extractor || published[1].Features != published[0].Features {
+	if published[1].Extractor != published[0].Extractor {
 		t.Fatal("replay published rebuilt state pointers; subscribers cannot detect the no-op")
 	}
 	if !published[1].Replayed {

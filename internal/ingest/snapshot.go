@@ -1,9 +1,10 @@
 // Package ingest implements crash-safe streaming mutation of a served
 // graph: a write-ahead log makes each acked batch durable, a compactor
-// periodically folds the log into a snapshot generation, and a
-// delta-aware maintainer recomputes only the census rows a batch could
-// have changed (the distance-≤emax dirty ball; see internal/core's
-// DirtySet).
+// periodically folds the log into a snapshot generation, and every
+// applied batch reports its dirty ball — the distance-≤emax roots whose
+// census it can have changed (see internal/core's DirtySet). The engine
+// keeps the graph only; feature rows are computed by whoever reads the
+// published graph.
 package ingest
 
 import (
@@ -17,12 +18,16 @@ import (
 )
 
 // ArtifactIngest is the store kind of the compacted ingest state: one
-// snapshot holding the graph, its feature set, and the ingest watermark
-// (last folded sequence plus the applied-batch index), written
-// atomically so recovery always sees a consistent triple.
+// snapshot holding the graph and the ingest watermark (last folded
+// sequence plus the applied-batch index), written atomically so
+// recovery always sees a consistent pair.
 const ArtifactIngest = "ingest"
 
-const ingestSchema = 1
+// ingestSchema is the snapshot layout this package writes: [meta,
+// ingestmeta, graph] with the graph in the graphbin codec. Schema 1,
+// still read, was [meta, ingestmeta, graph, featureset] with a TSV
+// graph and the census rows as JSON.
+const ingestSchema = 2
 
 // ingestMeta is the watermark section of an ingest snapshot.
 type ingestMeta struct {
@@ -42,36 +47,36 @@ type ingestMeta struct {
 type ingestState struct {
 	meta ingestMeta
 	g    *graph.Graph
-	fs   *core.FeatureSet
 }
 
 // snapshotSections frames the ingest state through core's artifact
-// framing as [meta, ingestmeta, graph, featureset].
+// framing as [meta, ingestmeta, graph]. The graphbin codec has no
+// edge-type section, so a typed graph is refused (graph.ErrEdgeTyped).
 func snapshotSections(st *ingestState) ([]store.Section, error) {
 	watermark, err := json.Marshal(st.meta)
 	if err != nil {
 		return nil, err
 	}
-	var gbuf bytes.Buffer
-	if err := graph.WriteTSV(&gbuf, st.g); err != nil {
-		return nil, err
-	}
-	var fbuf bytes.Buffer
-	if err := st.fs.Write(&fbuf); err != nil {
+	gbin, err := graph.EncodeBinary(st.g, 0)
+	if err != nil {
 		return nil, err
 	}
 	return core.ArtifactSections(ArtifactIngest, ingestSchema,
 		store.Section{Name: "ingestmeta", Payload: watermark},
-		store.Section{Name: "graph", Payload: gbuf.Bytes()},
-		store.Section{Name: "featureset", Payload: fbuf.Bytes()})
+		store.Section{Name: "graph", Payload: gbin})
 }
 
-// parseSnapshot decodes and structurally validates an ingest envelope.
-// Every failure wraps store.ErrCorrupt (or ErrUnsupportedVersion) so
-// LoadLatestVerified quarantines the generation and falls back to an
-// older one.
+// parseSnapshot decodes and structurally validates an ingest envelope
+// of either schema; a schema-1 featureset section is skipped
+// undecoded. Every failure wraps store.ErrCorrupt (or
+// ErrUnsupportedVersion) so LoadLatestVerified quarantines the
+// generation and falls back to an older one.
 func parseSnapshot(env *store.Envelope) (*ingestState, error) {
-	payloads, err := core.ArtifactPayloads(env, ArtifactIngest, ingestSchema, "ingestmeta", "graph", "featureset")
+	schema, names := ingestSchema, []string{"ingestmeta", "graph"}
+	if len(env.Sections) == 4 {
+		schema, names = 1, append(names, "featureset")
+	}
+	payloads, err := core.ArtifactPayloads(env, ArtifactIngest, schema, names...)
 	if err != nil {
 		return nil, fmt.Errorf("ingest snapshot: %w", err)
 	}
@@ -79,21 +84,19 @@ func parseSnapshot(env *store.Envelope) (*ingestState, error) {
 	if err := json.Unmarshal(payloads[0], &st.meta); err != nil {
 		return nil, fmt.Errorf("%w: undecodable ingest watermark: %v", store.ErrCorrupt, err)
 	}
-	if st.g, err = graph.ReadTSV(bytes.NewReader(payloads[1])); err != nil {
+	if st.meta.Schema != schema {
+		return nil, fmt.Errorf("%w: ingest watermark says schema %d in a schema-%d layout", store.ErrCorrupt, st.meta.Schema, schema)
+	}
+	if schema == 1 {
+		st.g, err = graph.ReadTSV(bytes.NewReader(payloads[1]))
+	} else {
+		st.g, _, err = graph.DecodeBinary(payloads[1], false)
+	}
+	if err == nil {
+		err = st.g.RequireUntyped("ingest graph")
+	}
+	if err != nil {
 		return nil, fmt.Errorf("%w: ingest graph: %v", store.ErrCorrupt, err)
-	}
-	if st.fs, err = core.ReadFeatureSet(bytes.NewReader(payloads[2])); err != nil {
-		return nil, fmt.Errorf("%w: ingest feature set: %v", store.ErrCorrupt, err)
-	}
-	// Cross-section invariants: the feature set must cover exactly the
-	// graph's nodes, row i belonging to root i.
-	if len(st.fs.Rows) != st.g.NumNodes() {
-		return nil, fmt.Errorf("%w: ingest snapshot has %d feature rows for %d nodes", store.ErrCorrupt, len(st.fs.Rows), st.g.NumNodes())
-	}
-	for i, r := range st.fs.Roots {
-		if r != int64(i) {
-			return nil, fmt.Errorf("%w: ingest feature row %d claims root %d", store.ErrCorrupt, i, r)
-		}
 	}
 	for id, seq := range st.meta.Batches {
 		if id == "" || seq == 0 || seq > st.meta.LastSeq {

@@ -820,7 +820,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "bad_request", "mutations must not be empty", 0)
 		return
 	}
-	muts, err := decodeWireMutations(req.Mutations)
+	muts, err := serve.DecodeIngestMutations(req.Mutations)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad_mutation", err.Error(), 0)
 		return
@@ -847,22 +847,3 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		ElapsedMS: time.Since(start).Milliseconds(),
 	})
 }
-
-// decodeWireMutations converts wire mutations to graph mutations with
-// the same validation the daemon applies at its edge.
-func decodeWireMutations(wire []serve.IngestMutation) ([]graph.Mutation, error) {
-	muts := make([]graph.Mutation, len(wire))
-	for i, m := range wire {
-		op, err := graph.ParseMutationOp(m.Op)
-		if err != nil {
-			return nil, fmt.Errorf("mutation %d: %w", i, err)
-		}
-		if m.U < 0 || m.U > int64(int32max) || m.V < 0 || m.V > int64(int32max) {
-			return nil, fmt.Errorf("mutation %d: node ids must be in [0, %d]", i, int32max)
-		}
-		muts[i] = graph.Mutation{Op: op, U: graph.NodeID(m.U), V: graph.NodeID(m.V), Label: m.Label, Name: m.Name}
-	}
-	return muts, nil
-}
-
-const int32max = 1<<31 - 1

@@ -47,8 +47,8 @@ func buildIngestFleet(t *testing.T, g *graph.Graph, opts core.Options, nShards, 
 				t.Fatalf("shard %d replica %d engine: %v", si, r, err)
 			}
 			t.Cleanup(func() { eng.Close() })
-			_, ex, fs, gen, _ := eng.State()
-			ss := serve.NewServerSnapshot(&serve.Snapshot{Extractor: ex, Features: fs, Generation: gen, Source: "ingest"}, serve.Config{})
+			_, ex, _, gen, _ := eng.State()
+			ss := serve.NewServerSnapshot(&serve.Snapshot{Extractor: ex, Generation: gen, Source: "ingest"}, serve.Config{})
 			ss.SetIngestor(eng, "ingest")
 			ss.SetFleetFollower(true)
 			ts := httptest.NewServer(ss.Handler())
@@ -126,6 +126,9 @@ func TestRouterIngestContract(t *testing.T) {
 		{"pre-sequenced", `{"batch_id":"f1.c","fleet_seq":1,"mutations":[{"op":"add_edge","u":0,"v":1}]}`},
 		{"bad op", `{"batch_id":"b","mutations":[{"op":"explode","u":0,"v":1}]}`},
 		{"unknown node", ingestBody("b", edgeMut(0, 59000))},
+		// IDs that wrap to valid nodes (0 and 4) under int32 truncation.
+		{"u beyond int32", `{"batch_id":"b","mutations":[{"op":"add_edge","u":4294967296,"v":2}]}`},
+		{"negative v wraps", `{"batch_id":"b","mutations":[{"op":"add_edge","u":2,"v":-4294967292}]}`},
 	}
 	for _, tc := range bad {
 		if w := routerDo(t, rt, http.MethodPost, "/v1/ingest", tc.body, nil); w.Code != http.StatusBadRequest {
@@ -260,11 +263,11 @@ func TestRouterFleetIngestEndToEnd(t *testing.T) {
 
 	// Differential: rows via the router == rows from the oracle engine,
 	// for a root mix that includes the ingested node 120.
-	og, ex, fs, gen, _ := oracle.State()
+	og, ex, _, gen, _ := oracle.State()
 	if og.NumNodes() != 121 {
 		t.Fatalf("oracle has %d nodes, want 121", og.NumNodes())
 	}
-	full := serve.NewServerSnapshot(&serve.Snapshot{Extractor: ex, Features: fs, Generation: gen, Source: "ingest"}, serve.Config{})
+	full := serve.NewServerSnapshot(&serve.Snapshot{Extractor: ex, Generation: gen, Source: "ingest"}, serve.Config{})
 	roots := []int64{0, 3, 7, 55, 119, 120}
 	var want serve.FeaturesResponse
 	wOracle := httptest.NewRecorder()

@@ -78,10 +78,6 @@ type MetaResponse struct {
 	Labels      []string `json:"labels"`
 	SlotNames   []string `json:"slot_names"`
 
-	// FeatureSetRows is the row count of the precomputed feature set
-	// riding along with this generation; 0 when none is loaded.
-	FeatureSetRows int `json:"featureset_rows,omitempty"`
-
 	MaxEdges      int    `json:"max_edges"`
 	MaxDegree     int    `json:"max_degree,omitempty"`
 	MaskRootLabel bool   `json:"mask_root_label,omitempty"`
@@ -551,9 +547,6 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 		RootDeadlineMS:     s.cfg.RootDeadline.Milliseconds(),
 		Ingest:             s.ingestStatus(),
 		Cache:              s.cacheStats(),
-	}
-	if snap.Features != nil {
-		meta.FeatureSetRows = len(snap.Features.Rows)
 	}
 	for l := 0; l < ex.LabelSlots(); l++ {
 		meta.SlotNames = append(meta.SlotNames, ex.SlotName(l))

@@ -41,7 +41,6 @@ func (s *Server) SetIngestor(eng *ingest.Engine, source string) {
 		// be shadowed by a stale cached row.
 		s.publish(&Snapshot{
 			Extractor:   res.Extractor,
-			Features:    res.Features,
 			Fingerprint: fingerprint(res.Extractor),
 			Generation:  res.Generation,
 			Source:      source,
@@ -84,6 +83,26 @@ type IngestMutation struct {
 	Name string `json:"name,omitempty"`
 }
 
+// DecodeIngestMutations converts wire mutations to graph mutations: the
+// edge check of every /v1/ingest handler, the daemon's and the router's.
+// It parses each op and refuses node IDs outside [0, MaxInt32]:
+// graph.NodeID is int32, and an out-of-range int64 would wrap into a
+// valid-looking node ID and mutate the wrong node.
+func DecodeIngestMutations(wire []IngestMutation) ([]graph.Mutation, error) {
+	muts := make([]graph.Mutation, len(wire))
+	for i, m := range wire {
+		op, err := graph.ParseMutationOp(m.Op)
+		if err != nil {
+			return nil, fmt.Errorf("mutation %d: %w", i, err)
+		}
+		if m.U < 0 || m.U > math.MaxInt32 || m.V < 0 || m.V > math.MaxInt32 {
+			return nil, fmt.Errorf("mutation %d: node ids must be in [0, %d]", i, math.MaxInt32)
+		}
+		muts[i] = graph.Mutation{Op: op, U: graph.NodeID(m.U), V: graph.NodeID(m.V), Label: m.Label, Name: m.Name}
+	}
+	return muts, nil
+}
+
 // IngestRequest is the body of POST /v1/ingest.
 type IngestRequest struct {
 	// BatchID is the client's idempotency key: a batch re-sent with the
@@ -109,12 +128,11 @@ type IngestRequest struct {
 
 // IngestResponse is the body of a successful POST /v1/ingest. The
 // response is sent only after the batch is durable (WAL fsync) and the
-// updated feature state is serving.
+// mutated graph is serving.
 type IngestResponse struct {
 	Seq         uint64 `json:"seq"`
 	Replayed    bool   `json:"replayed,omitempty"`
 	DirtyRoots  int    `json:"dirty_roots"`
-	NewColumns  int    `json:"new_columns,omitempty"`
 	ElapsedMS   int64  `json:"elapsed_ms"`
 	Generation  uint64 `json:"generation,omitempty"`
 	Fingerprint string `json:"fingerprint"`
@@ -240,25 +258,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			"this shard applies router-sequenced batches only; send writes to hsgf-router", 0)
 		return
 	}
-	muts := make([]graph.Mutation, len(req.Mutations))
-	for i, m := range req.Mutations {
-		op, err := graph.ParseMutationOp(m.Op)
-		if err != nil {
-			s.stats.badReq.Add(1)
-			s.writeError(w, http.StatusBadRequest, "bad_mutation",
-				fmt.Sprintf("mutation %d: %v", i, err), 0)
-			return
-		}
-		// graph.NodeID is int32; an out-of-range int64 would wrap into a
-		// valid-looking node ID and the batch would mutate the wrong node,
-		// so reject before converting.
-		if m.U < 0 || m.U > math.MaxInt32 || m.V < 0 || m.V > math.MaxInt32 {
-			s.stats.badReq.Add(1)
-			s.writeError(w, http.StatusBadRequest, "bad_mutation",
-				fmt.Sprintf("mutation %d: node ids must be in [0, %d]", i, math.MaxInt32), 0)
-			return
-		}
-		muts[i] = graph.Mutation{Op: op, U: graph.NodeID(m.U), V: graph.NodeID(m.V), Label: m.Label, Name: m.Name}
+	muts, err := DecodeIngestMutations(req.Mutations)
+	if err != nil {
+		s.stats.badReq.Add(1)
+		s.writeError(w, http.StatusBadRequest, "bad_mutation", err.Error(), 0)
+		return
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.requestDeadline(0))
@@ -339,7 +343,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Seq:         res.Seq,
 		Replayed:    res.Replayed,
 		DirtyRoots:  len(res.DirtyRoots),
-		NewColumns:  res.NewColumns,
 		ElapsedMS:   res.Elapsed.Milliseconds(),
 		Generation:  res.Generation,
 		Fingerprint: snap.Fingerprint,

@@ -44,8 +44,8 @@ func newIngestServer(t testing.TB, cfg Config) (*Server, *ingest.Engine) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eng.Close() })
-	_, ex, fs, gen, _ := eng.State()
-	s := NewServerSnapshot(&Snapshot{Extractor: ex, Features: fs, Generation: gen, Source: "ingest"}, cfg)
+	_, ex, _, gen, _ := eng.State()
+	s := NewServerSnapshot(&Snapshot{Extractor: ex, Generation: gen, Source: "ingest"}, cfg)
 	s.SetIngestor(eng, "ingest")
 	return s, eng
 }
@@ -85,9 +85,6 @@ func TestIngestApplyServesFresh(t *testing.T) {
 	}
 	if after.Ingest.LastSeq != 1 {
 		t.Fatalf("freshness watermark last_seq = %d, want 1", after.Ingest.LastSeq)
-	}
-	if after.FeatureSetRows != after.Nodes {
-		t.Fatalf("feature set has %d rows for %d nodes", after.FeatureSetRows, after.Nodes)
 	}
 }
 

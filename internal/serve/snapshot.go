@@ -20,16 +20,17 @@ var (
 )
 
 // Snapshot is one immutable serving generation: the graph (owned by the
-// extractor), the extractor over it, the optional precomputed feature
-// set, and the fingerprint clients use to detect semantic changes.
+// extractor), the extractor over it, and the fingerprint clients use to
+// detect semantic changes. Feature rows are computed from the extractor
+// on demand (behind the row cache).
 // Handlers load the snapshot pointer once per request, so a reload
 // never changes the data a request is mid-way through serving — the
 // RCU contract: readers see either the old generation or the new one,
 // never a mixture.
 type Snapshot struct {
 	Extractor *core.Extractor
-	// Features is the precomputed FeatureSet generation riding along
-	// with the graph, when the artifact store holds one. Nil otherwise.
+	// Features is not read by the server; the field stays only so that
+	// callers which still set it compile.
 	Features *core.FeatureSet
 	// Fingerprint digests graph shape + extraction options (see
 	// fingerprint); filled by NewSnapshot when left empty.
