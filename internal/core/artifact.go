@@ -42,30 +42,48 @@ func ArtifactSections(artifact string, schema int, payloads ...store.Section) ([
 	return append([]store.Section{{Name: "meta", Payload: meta}}, payloads...), nil
 }
 
-// ArtifactPayloads validates an envelope framed by ArtifactSections
-// against the expected artifact and payload section names, and returns
-// the payloads in order. The section list must be exactly [meta,
-// names...]: a snapshot with sections this reader does not understand
-// is rejected (ErrCorrupt) rather than silently misparsed, and a meta
-// schema newer than schema is refused with ErrUnsupportedVersion.
-func ArtifactPayloads(env *store.Envelope, artifact string, schema int, names ...string) ([][]byte, error) {
-	if len(env.Sections) != 1+len(names) {
-		return nil, fmt.Errorf("%w: %d sections, want [meta %s]",
-			store.ErrCorrupt, len(env.Sections), strings.Join(names, " "))
+// ArtifactSchema reads the meta section of an envelope framed by
+// ArtifactSections, checks that it names artifact, and returns the
+// payload schema that wrote it. A schema newer than schema is refused
+// with ErrUnsupportedVersion before anything else about the layout is
+// judged: a newer writer may lay its sections out differently, and its
+// file is not corrupt, only unreadable here.
+func ArtifactSchema(env *store.Envelope, artifact string, schema int) (int, error) {
+	if len(env.Sections) == 0 {
+		return 0, fmt.Errorf("%w: no sections", store.ErrCorrupt)
 	}
 	if env.Sections[0].Name != "meta" {
-		return nil, fmt.Errorf("%w: first section %q, want meta", store.ErrCorrupt, env.Sections[0].Name)
+		return 0, fmt.Errorf("%w: first section %q, want meta", store.ErrCorrupt, env.Sections[0].Name)
 	}
 	var meta artifactMeta
 	if err := json.Unmarshal(env.Sections[0].Payload, &meta); err != nil {
-		return nil, fmt.Errorf("%w: undecodable meta section: %v", store.ErrCorrupt, err)
+		return 0, fmt.Errorf("%w: undecodable meta section: %v", store.ErrCorrupt, err)
 	}
 	if meta.Artifact != artifact {
-		return nil, fmt.Errorf("%w: artifact %q, want %q", store.ErrCorrupt, meta.Artifact, artifact)
+		return 0, fmt.Errorf("%w: artifact %q, want %q", store.ErrCorrupt, meta.Artifact, artifact)
 	}
 	if meta.Schema > schema {
-		return nil, fmt.Errorf("%w: %s schema %d, reader supports <= %d",
+		return 0, fmt.Errorf("%w: %s schema %d, reader supports <= %d",
 			store.ErrUnsupportedVersion, artifact, meta.Schema, schema)
+	}
+	return meta.Schema, nil
+}
+
+// ArtifactPayloads validates an envelope framed by ArtifactSections
+// against the expected artifact and payload section names, and returns
+// the payloads in order. The meta section is checked first
+// (ArtifactSchema), so a meta schema newer than schema is refused with
+// ErrUnsupportedVersion whatever its layout. Then the section list must
+// be exactly [meta, names...]: a snapshot with sections this reader does
+// not understand is rejected (ErrCorrupt) rather than silently
+// misparsed.
+func ArtifactPayloads(env *store.Envelope, artifact string, schema int, names ...string) ([][]byte, error) {
+	if _, err := ArtifactSchema(env, artifact, schema); err != nil {
+		return nil, err
+	}
+	if len(env.Sections) != 1+len(names) {
+		return nil, fmt.Errorf("%w: %d sections, want [meta %s]",
+			store.ErrCorrupt, len(env.Sections), strings.Join(names, " "))
 	}
 	payloads := make([][]byte, len(names))
 	for i, name := range names {

@@ -253,3 +253,47 @@ func TestMappedLoadIsZeroCopy(t *testing.T) {
 	}
 	runtime.KeepAlive(loaded)
 }
+
+// TestNewerGraphGenerationRefused: the newest graphbin generation was
+// written by a newer binary, at schema+1 with a section this reader
+// does not know. The mapped loader and ReadGraphFile must refuse it as
+// ErrUnsupportedVersion (not ErrCorrupt), leave the file under its own
+// name, and serve nothing older in its place. A damaged newest
+// generation is still quarantined with fall-back, as
+// TestMappedLoadQuarantinesAndFallsBack pins.
+func TestNewerGraphGenerationRefused(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	st := openTestStore(t)
+	if _, err := SaveGraphSnapshots(st, randomLabelled(rng, 12, 2, 0.3)); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := graph.EncodeBinary(randomLabelled(rng, 20, 2, 0.3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections, err := ArtifactSections(ArtifactGraphBin, artifactSchema+1,
+		store.Section{Name: ArtifactGraphBin, Payload: payload},
+		store.Section{Name: "edgetypes", Payload: []byte{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := st.Write(ArtifactGraphBin, sections)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := st.Path(ArtifactGraphBin, gen)
+
+	g, _, err := LoadGraphSnapshotAuto(st)
+	if !errors.Is(err, store.ErrUnsupportedVersion) || errors.Is(err, store.ErrCorrupt) || g != nil {
+		t.Fatalf("LoadGraphSnapshotAuto = (%v, %v), want no graph and ErrUnsupportedVersion", g, err)
+	}
+	if _, err := ReadGraphFile(path); !errors.Is(err, store.ErrUnsupportedVersion) {
+		t.Fatalf("ReadGraphFile = %v, want ErrUnsupportedVersion", err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("newer generation lost its name: %v", err)
+	}
+	if gens, err := st.Generations(ArtifactGraphBin); err != nil || len(gens) != 2 {
+		t.Fatalf("generations %v (%v), want both kept", gens, err)
+	}
+}

@@ -69,7 +69,10 @@ func assertShardCensusEquivalence(t *testing.T, g *graph.Graph, opts Options, ha
 		if err != nil {
 			t.Fatal(err)
 		}
-		g2l := p.GlobalToLocal()
+		g2l := make([]graph.NodeID, g.NumNodes())
+		for local, global := range p.LocalToGlobal {
+			g2l[global] = graph.NodeID(local)
+		}
 		for _, root := range p.OwnedRoots {
 			full := fullEx.Census(root)
 			shard := shardEx.Census(g2l[root])

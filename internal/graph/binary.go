@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
+	"sort"
+	"sync"
 	"unsafe"
 )
 
@@ -300,7 +303,8 @@ func DecodeBinary(data []byte, alias bool) (*Graph, bool, error) {
 
 // validateDecoded bounds-checks every index a decoded graph will be
 // dereferenced through, plus the (label, id) adjacency order the census
-// heuristics rely on. One linear pass over the CSR arrays.
+// heuristics rely on. Linear passes over the CSR arrays; the adjacency
+// walk, the costly one, runs on every core for large graphs.
 func validateDecoded(g *Graph, n, m, k int) error {
 	if len(g.offsets) != n+1 || g.offsets[0] != 0 || int(g.offsets[n]) != 2*m {
 		return fmt.Errorf("graph: binary offsets malformed")
@@ -324,12 +328,67 @@ func validateDecoded(g *Graph, n, m, k int) error {
 			return fmt.Errorf("graph: binary edge %d endpoints (%d, %d) invalid", i, u, v)
 		}
 	}
-	// One walk covers every incidence (offsets[n] == 2m is pinned above),
-	// so this subsumes a separate adjEdge range pass. Each incidence's
-	// edge id must round-trip through ends to the same node pair —
-	// in-bounds but disagreeing tables would make IncidentEdges and
-	// EdgeEndpoints silently contradict each other.
-	for v := 0; v < n; v++ {
+	return checkAdjacency(g, n, m)
+}
+
+// adjRangeMin is the fewest incidences the adjacency walk hands to a
+// goroutine of its own: below it, starting and joining the goroutine
+// costs about as much as the walk it takes over. A fixed property of
+// the walk, not a tuning knob.
+const adjRangeMin = 1 << 16
+
+// checkAdjacency runs the per-incidence checks of validateDecoded. A
+// graph with at least two adjRangeMin shares of incidences is split
+// into up to GOMAXPROCS node ranges of about equal incidence count,
+// walked concurrently. Each range stops at its own first failure and
+// the lowest failing range's error is returned: ranges ascend by node,
+// so that is exactly the error the sequential walk reports.
+func checkAdjacency(g *Graph, n, m int) error {
+	parts := min(runtime.GOMAXPROCS(0), 2*m/adjRangeMin)
+	if parts < 2 {
+		return checkAdjacencyRange(g, 0, n, n, m)
+	}
+	bounds := adjacencyRanges(g.offsets, n, m, parts)
+	errs := make([]error, parts)
+	var wg sync.WaitGroup
+	for p := 0; p < parts; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			errs[p] = checkAdjacencyRange(g, bounds[p], bounds[p+1], n, m)
+		}(p)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// adjacencyRanges cuts nodes [0, n) into parts ranges of about 2m/parts
+// incidences each; range p is [bounds[p], bounds[p+1]). offsets must be
+// validated (monotone, offsets[n] == 2m).
+func adjacencyRanges(offsets []int32, n, m, parts int) []int {
+	bounds := make([]int, parts+1)
+	bounds[parts] = n
+	for p := 1; p < parts; p++ {
+		target := int32(2 * int64(m) * int64(p) / int64(parts))
+		lo := bounds[p-1]
+		bounds[p] = lo + sort.Search(n-lo, func(i int) bool { return offsets[lo+i] >= target })
+	}
+	return bounds
+}
+
+// checkAdjacencyRange walks the adjacency of nodes [from, to). Walking
+// every node covers every incidence (offsets[n] == 2m is pinned by the
+// caller), so this subsumes a separate adjEdge range pass. Each
+// incidence's edge id must round-trip through ends to the same node
+// pair — in-bounds but disagreeing tables would make IncidentEdges and
+// EdgeEndpoints silently contradict each other.
+func checkAdjacencyRange(g *Graph, from, to, n, m int) error {
+	for v := from; v < to; v++ {
 		adj := g.adj[g.offsets[v]:g.offsets[v+1]]
 		eids := g.adjEdge[g.offsets[v]:g.offsets[v+1]]
 		for i, w := range adj {

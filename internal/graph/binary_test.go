@@ -3,7 +3,9 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -323,5 +325,85 @@ func TestBinaryDecodeRejectsMismatchedEnds(t *testing.T) {
 		if _, _, err := DecodeBinary(payload, alias); err == nil {
 			t.Fatalf("alias=%v: ends/incidence mismatch accepted", alias)
 		}
+	}
+}
+
+// TestParallelAdjacencyCheckMatchesSequential corrupts a graph large
+// enough for the adjacency walk to split into four ranges, first inside
+// one range, then inside two, and decodes it on one and on four
+// processors. Both must report the same error: the sequential walk's,
+// at the lowest corrupted node, whichever check it trips.
+func TestParallelAdjacencyCheckMatchesSequential(t *testing.T) {
+	const parts = 4
+	rng := rand.New(rand.NewSource(21))
+	b := NewBuilderWithAlphabet(MustAlphabet("a", "b", "c"))
+	const n = 30000
+	for i := 0; i < n; i++ {
+		if _, err := b.AddLabeledNode(Label(rng.Intn(3))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < parts*adjRangeMin/2+n; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u != v {
+			if err := b.AddEdge(NodeID(u), NodeID(v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g := b.MustBuild()
+	if 2*g.NumEdges() < parts*adjRangeMin {
+		t.Fatalf("%d edges do not fill %d ranges", g.NumEdges(), parts)
+	}
+	payload, err := EncodeBinary(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := adjacencyRanges(g.offsets, n, g.NumEdges(), parts)
+	adjOff := int(binary.LittleEndian.Uint64(payload[40+16*secAdj:]))
+	setAdj := func(data []byte, i int, w NodeID) {
+		binary.LittleEndian.PutUint32(data[adjOff+4*i:], uint32(w))
+	}
+	// selfLoop makes node v list itself; unsorted repeats v's first
+	// neighbour in its second slot.
+	selfLoop := func(data []byte, v int) { setAdj(data, int(g.offsets[v]), NodeID(v)) }
+	unsorted := func(data []byte, v int) { setAdj(data, int(g.offsets[v])+1, g.adj[g.offsets[v]]) }
+	mid := func(r int) int {
+		v := (bounds[r] + bounds[r+1]) / 2
+		for g.Degree(NodeID(v)) < 2 {
+			v++
+		}
+		return v
+	}
+
+	decode := func(data []byte, procs int) error {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		_, _, err := DecodeBinary(data, false)
+		return err
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(data []byte)
+		node    int
+	}{
+		{"one range", func(d []byte) { unsorted(d, mid(2)) }, mid(2)},
+		{"two ranges", func(d []byte) { selfLoop(d, mid(3)); unsorted(d, mid(1)) }, mid(1)},
+		{"two ranges, other checks", func(d []byte) { unsorted(d, mid(3)); selfLoop(d, mid(0)) }, mid(0)},
+	} {
+		data := append([]byte(nil), payload...)
+		tc.corrupt(data)
+		seq, par := decode(data, 1), decode(data, parts)
+		if seq == nil || par == nil {
+			t.Fatalf("%s: corruption accepted (sequential %v, parallel %v)", tc.name, seq, par)
+		}
+		if seq.Error() != par.Error() {
+			t.Errorf("%s: parallel walk reports %q, sequential %q", tc.name, par, seq)
+		}
+		if want := fmt.Sprintf("node %d ", tc.node); !strings.Contains(seq.Error(), want) {
+			t.Errorf("%s: %q does not name the lowest corrupted node %d", tc.name, seq, tc.node)
+		}
+	}
+	if err := decode(payload, parts); err != nil {
+		t.Fatalf("pristine payload: %v", err)
 	}
 }

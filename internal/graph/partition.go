@@ -66,16 +66,6 @@ type ShardPlan struct {
 	LocalToGlobal []NodeID
 }
 
-// GlobalToLocal returns the inverse mapping of LocalToGlobal. Nodes not
-// present in the shard are absent from the map.
-func (p *ShardPlan) GlobalToLocal() map[NodeID]NodeID {
-	m := make(map[NodeID]NodeID, len(p.LocalToGlobal))
-	for local, global := range p.LocalToGlobal {
-		m[global] = NodeID(local)
-	}
-	return m
-}
-
 // PartitionConfig tunes PartitionByRoot.
 type PartitionConfig struct {
 	// NumShards is the shard count; must be >= 1.
@@ -166,7 +156,10 @@ func ValidatePartition(g *Graph, plans []*ShardPlan) error {
 	n := g.NumNodes()
 	seen := make([]bool, n)
 	for _, p := range plans {
-		g2l := p.GlobalToLocal()
+		g2l, err := denseGlobalToLocal(p, n)
+		if err != nil {
+			return err
+		}
 		if !sort.SliceIsSorted(p.OwnedRoots, func(i, j int) bool { return p.OwnedRoots[i] < p.OwnedRoots[j] }) {
 			return fmt.Errorf("graph: shard %d owned roots not ascending", p.Shard)
 		}
@@ -181,8 +174,8 @@ func ValidatePartition(g *Graph, plans []*ShardPlan) error {
 			if want := RootShard(r, len(plans)); want != p.Shard {
 				return fmt.Errorf("graph: root %d owned by shard %d, RootShard says %d", r, p.Shard, want)
 			}
-			local, ok := g2l[r]
-			if !ok {
+			local := g2l[r]
+			if local < 0 {
 				return fmt.Errorf("graph: shard %d owns root %d but its graph does not contain it", p.Shard, r)
 			}
 			if p.Graph.Label(local) != g.Label(r) {
@@ -196,4 +189,20 @@ func ValidatePartition(g *Graph, plans []*ShardPlan) error {
 		}
 	}
 	return nil
+}
+
+// denseGlobalToLocal inverts p.LocalToGlobal over a graph of n nodes:
+// entry g is g's local ID in the shard, or -1 where g is not a member.
+func denseGlobalToLocal(p *ShardPlan, n int) ([]NodeID, error) {
+	g2l := make([]NodeID, n)
+	for i := range g2l {
+		g2l[i] = -1
+	}
+	for local, global := range p.LocalToGlobal {
+		if global < 0 || int(global) >= n {
+			return nil, fmt.Errorf("graph: shard %d maps local %d to out-of-range global %d", p.Shard, local, global)
+		}
+		g2l[global] = NodeID(local)
+	}
+	return g2l, nil
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -152,7 +153,10 @@ func TestPartitionHaloPreservesInteriorDegrees(t *testing.T) {
 				interior[v] = true
 			}
 		}
-		g2l := p.GlobalToLocal()
+		g2l, err := denseGlobalToLocal(p, g.NumNodes())
+		if err != nil {
+			t.Fatal(err)
+		}
 		for v := range interior {
 			if p.Graph.Degree(g2l[v]) != g.Degree(v) {
 				t.Fatalf("shard %d: interior node %d degree %d, full graph %d",
@@ -169,5 +173,41 @@ func TestPartitionRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := PartitionByRoot(g, PartitionConfig{NumShards: 2, HaloDepth: 0}); err == nil {
 		t.Error("HaloDepth=0 accepted")
+	}
+}
+
+// TestValidatePartitionRejectsDamage: the partitioner's self-audit
+// reads each plan through a dense global-to-local table, so a plan that
+// maps an out-of-range global is refused, and so is one whose graph
+// lost an owned root.
+func TestValidatePartitionRejectsDamage(t *testing.T) {
+	g := partitionTestGraph(t, 60, 5)
+	cases := []struct {
+		name   string
+		damage func(p *ShardPlan)
+		want   string
+	}{
+		{"out-of-range global", func(p *ShardPlan) {
+			p.LocalToGlobal = append(append([]NodeID(nil), p.LocalToGlobal...), NodeID(g.NumNodes()))
+		}, "out-of-range global"},
+		{"owned root missing", func(p *ShardPlan) {
+			l2g := make([]NodeID, 0, len(p.LocalToGlobal))
+			for _, v := range p.LocalToGlobal {
+				if v != p.OwnedRoots[0] {
+					l2g = append(l2g, v)
+				}
+			}
+			p.LocalToGlobal = l2g
+		}, "does not contain it"},
+	}
+	for _, tc := range cases {
+		plans, err := PartitionByRoot(g, PartitionConfig{NumShards: 3, HaloDepth: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.damage(plans[1])
+		if err := ValidatePartition(g, plans); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ValidatePartition = %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -68,13 +68,23 @@ func snapshotSections(st *ingestState) ([]store.Section, error) {
 
 // parseSnapshot decodes and structurally validates an ingest envelope
 // of either schema; a schema-1 featureset section is skipped
-// undecoded. Every failure wraps store.ErrCorrupt (or
-// ErrUnsupportedVersion) so LoadLatestVerified quarantines the
-// generation and falls back to an older one.
+// undecoded. The layout follows the meta section's schema, read first,
+// so a generation from a newer writer fails with
+// store.ErrUnsupportedVersion, which stops LoadLatestVerified; every
+// other failure wraps store.ErrCorrupt, so the generation is
+// quarantined and an older one tried.
 func parseSnapshot(env *store.Envelope) (*ingestState, error) {
-	schema, names := ingestSchema, []string{"ingestmeta", "graph"}
-	if len(env.Sections) == 4 {
-		schema, names = 1, append(names, "featureset")
+	schema, err := core.ArtifactSchema(env, ArtifactIngest, ingestSchema)
+	if err != nil {
+		return nil, fmt.Errorf("ingest snapshot: %w", err)
+	}
+	names := []string{"ingestmeta", "graph"}
+	switch schema {
+	case ingestSchema:
+	case 1:
+		names = append(names, "featureset")
+	default:
+		return nil, fmt.Errorf("%w: ingest snapshot schema %d", store.ErrCorrupt, schema)
 	}
 	payloads, err := core.ArtifactPayloads(env, ArtifactIngest, schema, names...)
 	if err != nil {

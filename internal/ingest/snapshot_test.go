@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"hsgf/internal/core"
 	"hsgf/internal/graph"
 	"hsgf/internal/store"
 )
@@ -165,11 +166,90 @@ func TestEngineRefusesTypedSeed(t *testing.T) {
 	}
 }
 
+// TestNewerSnapshotRefused: the newest ingest generation was written by
+// a newer binary (schema+1, with an extra section). Open must fail with
+// ErrUnsupportedVersion and keep the file under its name rather than
+// quarantine it and boot the older generation, which would drop the
+// batches the newer writer acked. A bit-flipped newest generation is
+// still quarantined and the older one served.
+func TestNewerSnapshotRefused(t *testing.T) {
+	g, err := seedGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeGenerations := func(t *testing.T, cfg Config) (newest uint64) {
+		t.Helper()
+		for seq := uint64(1); seq <= 2; seq++ {
+			sections, err := snapshotSections(&ingestState{meta: ingestMeta{Schema: ingestSchema, LastSeq: seq}, g: g})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if newest, err = cfg.Store.Write(ArtifactIngest, sections); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return newest
+	}
+
+	t.Run("newer schema", func(t *testing.T) {
+		cfg := testConfig(t, t.TempDir())
+		writeGenerations(t, cfg)
+		current, err := snapshotSections(&ingestState{meta: ingestMeta{Schema: ingestSchema + 1, LastSeq: 4}, g: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sections, err := core.ArtifactSections(ArtifactIngest, ingestSchema+1,
+			append(current[1:], store.Section{Name: "overlay", Payload: []byte("v3 data")})...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := cfg.Store.Write(ArtifactIngest, sections)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := Open(cfg, seedGraph)
+		if err == nil {
+			e.Close()
+		}
+		if !errors.Is(err, store.ErrUnsupportedVersion) || errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("Open over a newer generation: %v, want ErrUnsupportedVersion", err)
+		}
+		if _, err := os.Stat(cfg.Store.Path(ArtifactIngest, gen)); err != nil {
+			t.Fatalf("newer generation lost its name: %v", err)
+		}
+		if bad, _ := filepath.Glob(filepath.Join(cfg.Store.Dir(), "*.corrupt")); len(bad) != 0 {
+			t.Fatalf("quarantined %v", bad)
+		}
+	})
+
+	t.Run("bit flip", func(t *testing.T) {
+		cfg := testConfig(t, t.TempDir())
+		gen := writeGenerations(t, cfg)
+		path := cfg.Store.Path(ArtifactIngest, gen)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0x10
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e := openEngine(t, cfg)
+		if _, _, _, served, lastSeq := e.State(); served != gen-1 || lastSeq != 1 {
+			t.Fatalf("served generation %d at watermark %d, want the older generation %d at 1", served, lastSeq, gen-1)
+		}
+		if _, err := os.Stat(path + ".corrupt"); err != nil {
+			t.Fatalf("damaged generation not quarantined: %v", err)
+		}
+	})
+}
+
 // FuzzParseIngestSnapshot fuzzes the section payloads of an ingest
 // snapshot inside a valid envelope: meta, ingestmeta and graph, plus a
 // featureset section when schema1 is set. parseSnapshot must never
-// panic, must type every refusal so the store quarantines the
-// generation, and must accept only graphs that pass Validate.
+// panic, must type every refusal so the store quarantines (or, for a
+// newer schema, refuses) the generation, and must accept only graphs
+// that pass Validate.
 func FuzzParseIngestSnapshot(f *testing.F) {
 	add := func(sections []store.Section) {
 		var p [4][]byte

@@ -152,7 +152,7 @@ func newFleetIngest(s *Server, g *graph.Graph, path string) (*fleetIngest, error
 				i, sm.ShardSize(i), len(man))
 		}
 		for local, global := range man {
-			if l, ok := sm.LocalID(i, graph.NodeID(global)); !ok || int(l) != local {
+			if l, ok := sm.LocalID(i, global); !ok || int(l) != local {
 				return nil, fmt.Errorf("router: ingest graph disagrees with manifest: shard %d node %d", i, global)
 			}
 		}

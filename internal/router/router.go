@@ -202,16 +202,8 @@ func New(cfg Config) (*Server, error) {
 		if len(cfg.Shards[i]) == 0 {
 			return nil, fmt.Errorf("router: shard %d has no replicas", i)
 		}
-		sm := &s.m.Shards[i]
-		g2l := make(map[int64]int64, len(sm.LocalToGlobal))
-		for local, global := range sm.LocalToGlobal {
-			g2l[global] = int64(local)
-		}
-		sh := &shard{
-			idx: i,
-			brk: serve.NewBreaker(cfg.Breaker),
-			g2l: g2l,
-		}
+		sh := &shard{idx: i, brk: serve.NewBreaker(cfg.Breaker)}
+		sh.setIDs(s.m.Shards[i].LocalToGlobal, s.m.NumNodes)
 		for _, url := range cfg.Shards[i] {
 			sh.replicas = append(sh.replicas, newReplica(url))
 		}

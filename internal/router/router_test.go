@@ -303,9 +303,9 @@ func TestFailoverToSecondReplica(t *testing.T) {
 
 // identityManifest maps a single shard over all n nodes (local == global).
 func identityManifest(n int) *Manifest {
-	l2g := make([]int64, n)
+	l2g := make(NodeIDs, n)
 	for i := range l2g {
-		l2g[i] = int64(i)
+		l2g[i] = graph.NodeID(i)
 	}
 	return &Manifest{
 		Version:   manifestVersion,

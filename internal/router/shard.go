@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hsgf/internal/graph"
 	"hsgf/internal/latency"
 	"hsgf/internal/retry"
 	"hsgf/internal/serve"
@@ -29,29 +30,52 @@ type shard struct {
 	lat      latency.Histogram // successful shard-call latencies
 	rr       atomic.Uint32     // round-robin replica cursor
 
-	// idMu guards g2l: fleet ingest adds new members as add_node
-	// mutations land while feature requests read concurrently.
-	idMu sync.RWMutex
-	g2l  map[int64]int64 // global ID -> local ID
+	// idMu guards g2l and members: fleet ingest adds new members as
+	// add_node mutations land while feature requests read concurrently.
+	idMu    sync.RWMutex
+	g2l     []int32 // global ID -> local ID; -1 where the global is no member
+	members int32   // member count, the next local ID growIDs assigns
+}
+
+// setIDs fills the ID table from the manifest's local-to-global list
+// over a graph of numNodes nodes, which Validate has checked it maps
+// into.
+func (sh *shard) setIDs(l2g []graph.NodeID, numNodes int) {
+	g2l := make([]int32, numNodes)
+	for i := range g2l {
+		g2l[i] = -1
+	}
+	for local, global := range l2g {
+		g2l[global] = int32(local)
+	}
+	sh.g2l, sh.members = g2l, int32(len(l2g))
 }
 
 // localOf translates a global node ID to this shard's local ID.
 func (sh *shard) localOf(global int64) (int64, bool) {
+	l := int32(-1)
 	sh.idMu.RLock()
-	l, ok := sh.g2l[global]
+	if global >= 0 && global < int64(len(sh.g2l)) {
+		l = sh.g2l[global]
+	}
 	sh.idMu.RUnlock()
-	return l, ok
+	return int64(l), l >= 0
 }
 
 // growIDs adds newly ingested members: globals[i] becomes local ID
-// len(g2l)+i, mirroring graph.ShardMap's deterministic assignment so
-// the router's table tracks every shard's own mapping exactly. Local
-// IDs are dense and members distinct (the manifest maps no global
-// twice; growth admits only non-members), so len(g2l) is the next ID.
+// members+i, mirroring graph.ShardMap's deterministic assignment so the
+// router's table tracks every shard's own mapping exactly. A member is
+// either an existing node joining this shard's halo or a new node, whose
+// ID may lie past the table's end; the table grows to cover it. Growth
+// admits only non-members, so no local ID is reassigned.
 func (sh *shard) growIDs(globals []int64) {
 	sh.idMu.Lock()
 	for _, g := range globals {
-		sh.g2l[g] = int64(len(sh.g2l))
+		for int64(len(sh.g2l)) <= g {
+			sh.g2l = append(sh.g2l, -1)
+		}
+		sh.g2l[g] = sh.members
+		sh.members++
 	}
 	sh.idMu.Unlock()
 }

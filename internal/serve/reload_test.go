@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,8 @@ import (
 	"time"
 
 	"hsgf/internal/core"
+	"hsgf/internal/graph"
+	"hsgf/internal/store"
 )
 
 // reloadableServer builds a server whose reloader swaps between two
@@ -123,6 +126,71 @@ func TestReloadFailureKeepsOldGeneration(t *testing.T) {
 	s.SetReloader(func(ctx context.Context) (*Snapshot, error) { return &Snapshot{}, nil })
 	if _, err := s.Reload(context.Background()); err == nil {
 		t.Fatal("empty snapshot accepted")
+	}
+}
+
+// TestReloadRefusesNewerGeneration: a hot reload over a store whose
+// newest graph generation was written by a newer binary (a later
+// schema with an extra section) must fail with ErrUnsupportedVersion
+// and keep serving the current generation, leaving the newer file in
+// place and falling back to nothing older.
+func TestReloadRefusesNewerGeneration(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.SaveGraphSnapshots(st, testGraph(t, 30)); err != nil {
+		t.Fatal(err)
+	}
+	reloader := func(context.Context) (*Snapshot, error) {
+		g, gen, err := core.LoadGraphSnapshotAuto(st)
+		if err != nil {
+			return nil, err
+		}
+		ex, err := core.NewExtractor(g, core.Options{MaxEdges: 3})
+		if err != nil {
+			return nil, err
+		}
+		snap := NewSnapshot(ex)
+		snap.Generation = gen
+		return snap, nil
+	}
+	snap, err := reloader(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServerSnapshot(snap, Config{})
+	s.SetReloader(reloader)
+
+	payload, err := graph.EncodeBinary(testGraph(t, 40), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Any schema past this reader's; the extra section is what a newer
+	// layout would add.
+	sections, err := core.ArtifactSections(core.ArtifactGraphBin, 99,
+		store.Section{Name: core.ArtifactGraphBin, Payload: payload},
+		store.Section{Name: "edgetypes", Payload: []byte{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := st.Write(core.ArtifactGraphBin, sections)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := s.Reload(context.Background()); !errors.Is(err, store.ErrUnsupportedVersion) {
+		t.Fatalf("reload over a newer generation: %v, want ErrUnsupportedVersion", err)
+	}
+	if cur := s.Snapshot(); cur != snap || cur.Generation != 1 {
+		t.Fatalf("serving generation %d after the refused reload, want the current generation 1", cur.Generation)
+	}
+	var resp FeaturesResponse
+	if w := doJSON(t, s, http.MethodPost, "/v1/features", `{"roots":[0]}`, &resp); w.Code != http.StatusOK {
+		t.Fatalf("features after the refused reload = %d", w.Code)
+	}
+	if _, err := os.Stat(st.Path(core.ArtifactGraphBin, gen)); err != nil {
+		t.Fatalf("newer generation lost its name: %v", err)
 	}
 }
 

@@ -70,9 +70,10 @@ func OpenMapped(path string) (*Mapped, *Envelope, error) {
 // LoadLatestMapped is LoadLatestVerified over a memory-mapped read: the
 // newest generation of kind that passes envelope verification and the
 // artifact-level verify hook is returned still mapped, generations that
-// fail are quarantined, and the mapping of every rejected generation is
-// closed before the next candidate is tried. The caller owns closing
-// the returned Mapped.
+// fail are quarantined (or, written by a newer format, end the load;
+// see reject), and the mapping of every rejected generation is closed
+// before the next candidate is tried. The caller owns closing the
+// returned Mapped.
 func (s *Store) LoadLatestMapped(kind string, verify func(*Envelope) error) (*Mapped, *Envelope, uint64, error) {
 	gens, err := s.scan(kind)
 	if err != nil {
@@ -87,16 +88,14 @@ func (s *Store) LoadLatestMapped(kind string, verify func(*Envelope) error) (*Ma
 		if err == nil && verify != nil {
 			if err = verify(env); err != nil {
 				m.Close()
+				err = fmt.Errorf("%s: %w", g.path, err)
 			}
 		}
 		if err == nil {
 			return m, env, g.gen, nil
 		}
-		if quarantineErr := s.Quarantine(g.path); quarantineErr != nil {
-			s.logf("store: %s failed verification (%v) and could not be quarantined: %v",
-				g.path, err, quarantineErr)
-		} else {
-			s.logf("store: quarantined %s generation %d: %v", kind, g.gen, err)
+		if err := s.reject(kind, g, err); err != nil {
+			return nil, nil, 0, err
 		}
 	}
 	return nil, nil, 0, fmt.Errorf("%w: kind %q in %s", ErrNotFound, kind, s.dir)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -99,17 +100,19 @@ func (s *Store) Write(kind string, sections []Section) (uint64, error) {
 // LoadLatest returns the newest generation of kind that passes full
 // verification. A generation that fails is quarantined (renamed aside
 // with the .corrupt suffix) and the next-older one is tried, so one bad
-// rotation never takes a consumer down. ErrNotFound when no generation
-// survives.
+// rotation never takes a consumer down. A generation written by a newer
+// format (ErrUnsupportedVersion) stops the load instead; see reject.
+// ErrNotFound when no generation survives.
 func (s *Store) LoadLatest(kind string) (*Envelope, uint64, error) {
 	return s.LoadLatestVerified(kind, nil)
 }
 
 // LoadLatestVerified is LoadLatest with an extra artifact-level check:
 // verify (when non-nil) runs on each envelope that passed integrity
-// verification, and a generation it rejects is quarantined exactly like
-// a checksum failure — a snapshot whose payload does not decode is as
-// unusable as a torn one.
+// verification, and a generation it rejects is handled exactly like an
+// envelope failure — a snapshot whose payload does not decode is as
+// unusable as a torn one, and one whose payload schema is newer than
+// this reader's is as unreadable as a newer envelope.
 func (s *Store) LoadLatestVerified(kind string, verify func(*Envelope) error) (*Envelope, uint64, error) {
 	gens, err := s.scan(kind)
 	if err != nil {
@@ -122,19 +125,38 @@ func (s *Store) LoadLatestVerified(kind string, verify func(*Envelope) error) (*
 		}
 		env, err := ReadFile(g.path)
 		if err == nil && verify != nil {
-			err = verify(env)
+			if err = verify(env); err != nil {
+				err = fmt.Errorf("%s: %w", g.path, err)
+			}
 		}
 		if err == nil {
 			return env, g.gen, nil
 		}
-		if quarantineErr := s.Quarantine(g.path); quarantineErr != nil {
-			s.logf("store: %s failed verification (%v) and could not be quarantined: %v",
-				g.path, err, quarantineErr)
-		} else {
-			s.logf("store: quarantined %s generation %d: %v", kind, g.gen, err)
+		if err := s.reject(kind, g, err); err != nil {
+			return nil, 0, err
 		}
 	}
 	return nil, 0, fmt.Errorf("%w: kind %q in %s", ErrNotFound, kind, s.dir)
+}
+
+// reject disposes of a generation that failed to load with err (which
+// names its file). A generation written by a newer format is refused:
+// the returned error ends the load, the file keeps its name, and no
+// older generation is served in its place, because that would silently
+// roll back state the newer writer has already acknowledged. Any other
+// failure quarantines the file and returns nil, so the caller falls
+// back to the next-older generation.
+func (s *Store) reject(kind string, g generation, err error) error {
+	if errors.Is(err, ErrUnsupportedVersion) {
+		return fmt.Errorf("store: %s generation %d was written by a newer version; not loading it or anything older: %w", kind, g.gen, err)
+	}
+	if quarantineErr := s.Quarantine(g.path); quarantineErr != nil {
+		s.logf("store: %s failed verification (%v) and could not be quarantined: %v",
+			g.path, err, quarantineErr)
+	} else {
+		s.logf("store: quarantined %s generation %d: %v", kind, g.gen, err)
+	}
+	return nil
 }
 
 // Quarantine renames a failed snapshot aside so it is never loaded

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -388,5 +389,82 @@ func TestAtomicWriteReplaces(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("%d entries after atomic write, want 1", len(entries))
+	}
+}
+
+// TestNewerGenerationStopsLoad: a newest generation written by a newer
+// format, whether the envelope's FormatVersion or the payload schema
+// (reported by the verify hook) says so, stops both loaders with
+// ErrUnsupportedVersion naming the file. It is neither quarantined nor
+// skipped: serving the older generation would silently roll back what
+// the newer writer acknowledged.
+func TestNewerGenerationStopsLoad(t *testing.T) {
+	newerSchema := func(e *Envelope) error {
+		if p, _ := e.Section("body"); string(p) == "payload-newer" {
+			return fmt.Errorf("%w: test schema 2, reader supports <= 1", ErrUnsupportedVersion)
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name   string
+		newer  func(t *testing.T, s *Store) uint64 // writes the newer generation
+		verify func(*Envelope) error
+	}{
+		{"envelope version", func(t *testing.T, s *Store) uint64 {
+			gen, err := s.Write("graphbin", testSections("next"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(s.Path("graphbin", gen))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(headerMagic)] = FormatVersion + 1
+			if err := os.WriteFile(s.Path("graphbin", gen), resign(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return gen
+		}, nil},
+		{"payload schema", func(t *testing.T, s *Store) uint64 {
+			gen, err := s.Write("graphbin", testSections("newer"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return gen
+		}, newerSchema},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var logged []string
+			s, err := Open(t.TempDir(), Options{Log: func(f string, a ...any) { logged = append(logged, fmt.Sprintf(f, a...)) }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Write("graphbin", testSections("old")); err != nil {
+				t.Fatal(err)
+			}
+			gen := tc.newer(t, s)
+			path := s.Path("graphbin", gen)
+
+			_, _, err = s.LoadLatestVerified("graphbin", tc.verify)
+			if !errors.Is(err, ErrUnsupportedVersion) || !strings.Contains(err.Error(), path) {
+				t.Fatalf("LoadLatestVerified = %v, want ErrUnsupportedVersion naming %s", err, path)
+			}
+			m, _, _, err := s.LoadLatestMapped("graphbin", tc.verify)
+			if !errors.Is(err, ErrUnsupportedVersion) || !strings.Contains(err.Error(), path) {
+				if m != nil {
+					m.Close()
+				}
+				t.Fatalf("LoadLatestMapped = %v, want ErrUnsupportedVersion naming %s", err, path)
+			}
+			if _, err := os.Stat(path); err != nil {
+				t.Fatalf("newer generation lost its name: %v", err)
+			}
+			if gens, err := s.Generations("graphbin"); err != nil || len(gens) != 2 {
+				t.Fatalf("generations %v (%v), want both kept", gens, err)
+			}
+			if len(logged) != 0 {
+				t.Fatalf("refusal logged as a quarantine: %q", logged)
+			}
+		})
 	}
 }
