@@ -43,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzWalkShardDeterminism -fuzztime=$(FUZZTIME) ./internal/embed
 	$(GO) test -run=Fuzz -fuzz=FuzzScanShardReply -fuzztime=$(FUZZTIME) ./internal/router
 	$(GO) test -run=Fuzz -fuzz=FuzzLoadManifest -fuzztime=$(FUZZTIME) ./internal/router
+	$(GO) test -run=Fuzz -fuzz=FuzzCompactRow -fuzztime=$(FUZZTIME) ./internal/serve
 
 # End-to-end daemon smoke: builds cmd/hsgfd under -race, boots it on a
 # synthetic graph and exercises serve/degrade/shed/drain over real HTTP.
@@ -104,15 +105,16 @@ bench-all:
 # CI smoke: compile and exercise every benchmark briefly so benchmark
 # code cannot rot, without paying for stable timings. The embedding
 # benchmarks train real models (seconds per op), so they run once.
-# The warm-cache alloc-budget tests ride along: a warm 8-root
-# /v1/features request over 100 allocations on the daemon, or over 500
-# through the router and a 2-shard fleet, fails the target (timings
-# drift with load; allocation counts are deterministic, so these are the
+# The warm-cache budget tests ride along: a warm 8-root /v1/features
+# request over 100 allocations on the daemon, or over 500 through the
+# router and a 2-shard fleet, fails the target, and so do cached rows
+# taking over a quarter of their JSON length (timings drift with load;
+# allocation and byte counts are deterministic, so these are the
 # fast-path regression gates CI can enforce).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/core ./internal/serve
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/embed
-	$(GO) test -run TestWarmServeAllocBudget -count=1 -v ./internal/serve
+	$(GO) test -run 'TestWarmServeAllocBudget|TestRowCacheBytesBudget' -count=1 -v ./internal/serve
 	$(GO) test -run TestWarmRouterAllocBudget -count=1 -v ./internal/router
 
 # Tracked scale ladder (cmd/bench): hierarchical graphs at

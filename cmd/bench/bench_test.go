@@ -125,6 +125,9 @@ func TestSuites(t *testing.T) {
 			wantKeys(t, "row", row, "ns_per_op", "ns_per_root", "allocs_per_root", "roots_per_op")
 			if strings.HasPrefix(row["name"].(string), "serve_") {
 				wantKeys(t, "serve row", row, "p50_ns_per_op", "p99_ns_per_op")
+				if row["name"] == "serve_request_warm" {
+					wantKeys(t, "warm serve row", row, "cache_bytes_per_row")
+				}
 			} else {
 				wantKeys(t, "census row", row, "subgraphs_per_sec")
 			}

@@ -8,6 +8,9 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"hsgf/internal/core"
@@ -25,12 +28,15 @@ type censusRow struct {
 	// P50NsPerOp / P99NsPerOp are per-iteration latency percentiles,
 	// reported by the serve benchmarks where tail latency is the tracked
 	// contract (the warm path targets p99 < 100µs, not just the mean).
-	P50NsPerOp      float64 `json:"p50_ns_per_op,omitempty"`
-	P99NsPerOp      float64 `json:"p99_ns_per_op,omitempty"`
-	Roots           int     `json:"roots_per_op"`
-	NsPerRoot       float64 `json:"ns_per_root"`
-	AllocsPerRoot   float64 `json:"allocs_per_root"`
-	SubgraphsPerSec float64 `json:"subgraphs_per_sec,omitempty"`
+	P50NsPerOp float64 `json:"p50_ns_per_op,omitempty"`
+	P99NsPerOp float64 `json:"p99_ns_per_op,omitempty"`
+	// CacheBytesPerRow is the row cache's bytes gauge per cached row
+	// after the warm run: what one cached compact row costs.
+	CacheBytesPerRow float64 `json:"cache_bytes_per_row,omitempty"`
+	Roots            int     `json:"roots_per_op"`
+	NsPerRoot        float64 `json:"ns_per_root"`
+	AllocsPerRoot    float64 `json:"allocs_per_root"`
+	SubgraphsPerSec  float64 `json:"subgraphs_per_sec,omitempty"`
 }
 
 type censusReport struct {
@@ -125,7 +131,9 @@ func runCensus(g *graph.Graph, bt string, serveSeconds float64) (report, error) 
 	//   serve_request       row cache disabled — every request extracts
 	//                       (the historical trajectory metric);
 	//   serve_request_warm  cache enabled and pre-warmed — every row is a
-	//                       preserialised fragment hit (the <100µs path);
+	//                       cache hit expanded from its compact form (the
+	//                       <100µs path), and the row reports the cache's
+	//                       bytes per row;
 	//   serve_request_cold  cache enabled, every request carries a fresh
 	//                       root_budget so its limits fingerprint — and
 	//                       with it the cache key — never repeats: the
@@ -152,22 +160,44 @@ func runCensus(g *graph.Graph, bt string, serveSeconds float64) (report, error) 
 		return b
 	}
 	for _, bench := range []struct {
-		name string
-		cfg  serve.Config
-		body func(i int) []byte
+		name  string
+		cfg   serve.Config
+		body  func(i int) []byte
+		gauge bool // report the row cache's bytes per row
 	}{
 		{name: "serve_request", cfg: serve.Config{RowCache: -1}, body: fixed},
-		{name: "serve_request_warm", cfg: serve.Config{}, body: fixed},
+		{name: "serve_request_warm", cfg: serve.Config{}, body: fixed, gauge: true},
 		{name: "serve_request_cold", cfg: serve.Config{}, body: unique},
 	} {
-		r, err := serveLatency(serve.NewServer(ex, bench.cfg).Handler(), serveSeconds, bench.body)
+		h := serve.NewServer(ex, bench.cfg).Handler()
+		r, err := serveLatency(h, serveSeconds, bench.body)
 		if err != nil {
 			return nil, err
 		}
 		row := newCensusRow(bench.name, len(roots), r.BenchmarkResult, 0)
 		row.P50NsPerOp = float64(r.p50.Nanoseconds())
 		row.P99NsPerOp = float64(r.p99.Nanoseconds())
+		if bench.gauge {
+			if row.CacheBytesPerRow, err = cacheBytesPerRow(h); err != nil {
+				return nil, err
+			}
+		}
 		rep.Results = append(rep.Results, row)
 	}
 	return rep, nil
+}
+
+// cacheBytesPerRow reads the row cache's gauges from h's /debug/stats:
+// compact row bytes held per cached row.
+func cacheBytesPerRow(h http.Handler) (float64, error) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/stats", nil))
+	var st serve.StatsSnapshot
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		return 0, fmt.Errorf("serve /debug/stats: %w", err)
+	}
+	if st.Cache == nil || st.Cache.Size == 0 {
+		return 0, fmt.Errorf("serve /debug/stats: no cached rows after the warm run")
+	}
+	return float64(st.Cache.Bytes) / float64(st.Cache.Size), nil
 }

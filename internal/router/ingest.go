@@ -125,7 +125,8 @@ type pendingGrowth struct {
 }
 
 // newFleetIngest builds the fleet ingest state: an authoritative
-// ShardMap cross-checked against the manifest, the sequencer log, and
+// ShardMap cross-checked against the manifest m (the last reader of its
+// ID tables; nothing here keeps it), the sequencer log, and
 // one ordered sender per (shard, replica). Every record already in the
 // log is replayed through the ShardMap (deterministically regenerating
 // the exact sub-batches of the previous run) and each shard chain's
@@ -135,10 +136,10 @@ type pendingGrowth struct {
 // watermark and gets the missed suffix replayed. That makes boot the
 // same code path as steady-state gap repair, and it is what repairs a
 // router killed between sequencing and fan-out.
-func newFleetIngest(s *Server, g *graph.Graph, path string) (*fleetIngest, error) {
+func newFleetIngest(s *Server, m *Manifest, g *graph.Graph, path string) (*fleetIngest, error) {
 	sm, err := graph.NewShardMap(g, graph.PartitionConfig{
-		NumShards: s.m.NumShards,
-		HaloDepth: s.m.HaloDepth,
+		NumShards: m.NumShards,
+		HaloDepth: m.HaloDepth,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("router: ingest shard map: %w", err)
@@ -146,7 +147,7 @@ func newFleetIngest(s *Server, g *graph.Graph, path string) (*fleetIngest, error
 	// The ShardMap must agree with the manifest the shards were cut
 	// from, or local-ID translation would silently corrupt mutations.
 	for i := range s.shards {
-		man := s.m.Shards[i].LocalToGlobal
+		man := m.Shards[i].LocalToGlobal
 		if sm.ShardSize(i) != len(man) {
 			return nil, fmt.Errorf("router: ingest graph disagrees with manifest: shard %d has %d members, manifest %d (wrong -ingest-graph?)",
 				i, sm.ShardSize(i), len(man))
@@ -167,13 +168,13 @@ func newFleetIngest(s *Server, g *graph.Graph, path string) (*fleetIngest, error
 		sm:           sm,
 		log:          log,
 		ackTimeout:   s.cfg.IngestAckTimeout,
-		lastTouched:  make([]uint64, s.m.NumShards),
-		history:      make([][]*fanItem, s.m.NumShards),
+		lastTouched:  make([]uint64, s.numShards),
+		history:      make([][]*fanItem, s.numShards),
 		pending:      make(map[uint64]*ackState),
 		complete:     make(map[uint64]bool),
 		acked:        make(map[string]uint64),
 		growth:       make(map[uint64]*pendingGrowth),
-		shardSenders: make([][]*replicaSender, s.m.NumShards),
+		shardSenders: make([][]*replicaSender, s.numShards),
 		stopCh:       make(chan struct{}),
 	}
 

@@ -152,11 +152,14 @@ func (c *Config) withDefaults() {
 // Server is the routing tier: one process fronting NumShards replica
 // sets of hsgfd shard workers.
 type Server struct {
-	cfg    Config
-	m      *Manifest
-	shards []*shard
-	client *http.Client
-	stats  routerStats
+	cfg Config
+	// numShards and haloDepth are the manifest's; the manifest itself,
+	// with its per-shard ID tables, is not kept past New.
+	numShards int
+	haloDepth int
+	shards    []*shard
+	client    *http.Client
+	stats     routerStats
 
 	// fleet is the ingest sequencer + fan-out state; nil when the
 	// router was built without SeqLogPath/IngestGraph.
@@ -176,42 +179,48 @@ type Server struct {
 
 // New builds a router over cfg.Manifest and cfg.Shards. The manifest is
 // re-validated; replica counts may differ per shard but every shard
-// needs at least one.
+// needs at least one. The router keeps no reference to the manifest:
+// its ID tables are read into the shards' dense lookup tables (and,
+// with fleet ingest, cross-checked against the ingest graph) here, and
+// are garbage once the caller drops them.
 func New(cfg Config) (*Server, error) {
-	if cfg.Manifest == nil {
+	m := cfg.Manifest
+	if m == nil {
 		return nil, fmt.Errorf("router: Config.Manifest is required")
 	}
-	if err := cfg.Manifest.Validate(); err != nil {
+	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	if len(cfg.Shards) != cfg.Manifest.NumShards {
-		return nil, fmt.Errorf("router: %d replica sets for %d shards", len(cfg.Shards), cfg.Manifest.NumShards)
+	if len(cfg.Shards) != m.NumShards {
+		return nil, fmt.Errorf("router: %d replica sets for %d shards", len(cfg.Shards), m.NumShards)
 	}
 	cfg.withDefaults()
+	cfg.Manifest = nil
 
 	s := &Server{
-		cfg: cfg,
-		m:   cfg.Manifest,
+		cfg:       cfg,
+		numShards: m.NumShards,
+		haloDepth: m.HaloDepth,
 		client: &http.Client{
 			Transport: cfg.Transport,
 			// Per-call contexts bound every request; no global timeout.
 		},
 	}
-	s.shards = make([]*shard, s.m.NumShards)
+	s.shards = make([]*shard, m.NumShards)
 	for i := range s.shards {
 		if len(cfg.Shards[i]) == 0 {
 			return nil, fmt.Errorf("router: shard %d has no replicas", i)
 		}
 		sh := &shard{idx: i, brk: serve.NewBreaker(cfg.Breaker)}
-		sh.setIDs(s.m.Shards[i].LocalToGlobal, s.m.NumNodes)
+		sh.setIDs(m.Shards[i].LocalToGlobal, m.NumNodes)
 		for _, url := range cfg.Shards[i] {
 			sh.replicas = append(sh.replicas, newReplica(url))
 		}
 		s.shards[i] = sh
 	}
-	s.numNodes.Store(int64(s.m.NumNodes))
+	s.numNodes.Store(int64(m.NumNodes))
 	if cfg.SeqLogPath != "" && cfg.IngestGraph != nil {
-		fleet, err := newFleetIngest(s, cfg.IngestGraph, cfg.SeqLogPath)
+		fleet, err := newFleetIngest(s, m, cfg.IngestGraph, cfg.SeqLogPath)
 		if err != nil {
 			return nil, err
 		}
@@ -315,7 +324,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	if err != nil {
 		return err
 	}
-	s.logf("router: listening on %s (%d shards, halo depth %d)", ln.Addr(), s.m.NumShards, s.m.HaloDepth)
+	s.logf("router: listening on %s (%d shards, halo depth %d)", ln.Addr(), s.numShards, s.haloDepth)
 	return s.Serve(ctx, ln)
 }
 
@@ -404,7 +413,7 @@ func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 	}
 	batches := make(map[int]*shardBatch)
 	for pos, root := range req.Roots {
-		si := graph.RootShard(graph.NodeID(root), s.m.NumShards)
+		si := graph.RootShard(graph.NodeID(root), s.numShards)
 		b := batches[si]
 		if b == nil {
 			b = &shardBatch{}
@@ -499,7 +508,7 @@ type ReplicaMeta struct {
 }
 
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
-	resp := MetaResponse{NumShards: s.m.NumShards, HaloDepth: s.m.HaloDepth, NumNodes: int(s.numNodes.Load())}
+	resp := MetaResponse{NumShards: s.numShards, HaloDepth: s.haloDepth, NumNodes: int(s.numNodes.Load())}
 	for _, sh := range s.shards {
 		entry := ShardMetaEntry{Shard: sh.idx, Breaker: sh.brk.State().String()}
 		p95, _ := sh.lat.Quantile(0.95)

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -298,6 +300,48 @@ func TestFailoverToSecondReplica(t *testing.T) {
 	// Passive accounting must have marked the dead replica down.
 	if rt.shards[0].replicas[0].healthy.Load() {
 		t.Error("dead replica still marked healthy after FailAfter transport failures")
+	}
+}
+
+// TestRouterReleasesManifest: New reads the manifest's ID tables into
+// the shards' dense lookup tables — and, with fleet ingest, cross-checks
+// them against the ingest graph — and keeps no reference to it, so a
+// manifest the caller drops is collected while the router lives on.
+func TestRouterReleasesManifest(t *testing.T) {
+	g := fleetTestGraph(t, 150, 29)
+	for _, fleetIngest := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ingest=%v", fleetIngest), func(t *testing.T) {
+			plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: 2, HaloDepth: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := BuildManifest(g.NumNodes(), 2, plans)
+			collected := make(chan struct{})
+			runtime.SetFinalizer(m, func(*Manifest) { close(collected) })
+			cfg := Config{Manifest: m, Shards: [][]string{{"http://127.0.0.1:1"}, {"http://127.0.0.1:1"}}}
+			if fleetIngest {
+				cfg.SeqLogPath = filepath.Join(t.TempDir(), "seq.wal")
+				cfg.IngestGraph = g
+			}
+			rt := newTestRouter(t, cfg)
+			defer rt.Close()
+			m, cfg.Manifest, plans = nil, nil, nil
+
+			deadline := time.After(5 * time.Second)
+			for {
+				runtime.GC()
+				select {
+				case <-collected:
+					if w := routerDo(t, rt, http.MethodGet, "/v1/meta", "", nil); w.Code != http.StatusOK {
+						t.Fatalf("router unusable after its manifest was collected: %d", w.Code)
+					}
+					return
+				case <-deadline:
+					t.Fatal("manifest still reachable from the router after New returned")
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+		})
 	}
 }
 

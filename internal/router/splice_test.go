@@ -92,7 +92,7 @@ func replicaRows(t *testing.T, rt *Server, f *testFleet, req serve.FeaturesReque
 	for _, si := range shards {
 		var globals, locals []int64
 		for _, g := range req.Roots {
-			if graph.RootShard(graph.NodeID(g), rt.m.NumShards) == si {
+			if graph.RootShard(graph.NodeID(g), rt.numShards) == si {
 				l, _ := rt.shards[si].localOf(g)
 				globals, locals = append(globals, g), append(locals, l)
 			}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 
 	"hsgf/internal/core"
 	"hsgf/internal/datagen"
+	"hsgf/internal/graph"
 )
 
 // benchServer builds the daemon over the synthetic publication network
@@ -87,8 +89,8 @@ func BenchmarkServeRequest(b *testing.B) {
 
 // BenchmarkServeRequestWarm measures the cache-hit fast path: the same
 // 8-root batch over and over with the feature-row cache enabled, so
-// after the first request every row is served from a preserialised
-// fragment with no extraction, no admission, no breaker. This is the
+// after the first request every row is expanded from a cached compact
+// row with no extraction, no admission, no breaker. This is the
 // sub-100µs serve path the cache exists for.
 func BenchmarkServeRequestWarm(b *testing.B) {
 	_, handler, body := benchServer(b, 0) // 0 = DefaultRowCache
@@ -106,7 +108,7 @@ func BenchmarkServeRequestWarm(b *testing.B) {
 
 // TestWarmServeAllocBudget pins the allocation budget of the warm fast
 // path: a warm 8-root request must stay under 100 allocations end to
-// end (handler dispatch, cache lookups, fragment assembly, recorder
+// end (handler dispatch, cache lookups, row expansion, recorder
 // writes included). Run by `make bench-smoke`; a regression here means
 // per-request garbage crept back into the hit path.
 func TestWarmServeAllocBudget(t *testing.T) {
@@ -128,5 +130,54 @@ func TestWarmServeAllocBudget(t *testing.T) {
 	t.Logf("warm 8-root request: %.1f allocs", perReq)
 	if perReq > 100 {
 		t.Fatalf("warm 8-root request allocates %.1f objects, budget is 100", perReq)
+	}
+}
+
+// TestRowCacheBytesBudget pins what the compact row form saves: with a
+// graph's roots cached, the cache's bytes gauge must stay under a
+// quarter of those rows' JSON length, the form the cache held before
+// rows were interned. Byte counts are deterministic, so `make
+// bench-smoke` runs this beside the alloc gates.
+func TestRowCacheBytesBudget(t *testing.T) {
+	hier, err := datagen.GenerateHierarchical(datagen.DefaultHierarchicalConfig(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		opts core.Options
+		step int // cache every step-th root
+	}{
+		{"testGraph(30)", testGraph(t, 30), core.Options{MaxEdges: 3}, 1},
+		{"hierarchical-2k", hier.Graph, core.Options{MaxEdges: 3, MaxDegree: 64, MaskRootLabel: true}, 8},
+	} {
+		ex, err := core.NewExtractor(tc.g, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewServer(ex, Config{})
+		var rows, jsonBytes int
+		for root := 0; root < tc.g.NumNodes(); root += tc.step {
+			w := doJSON(t, s, http.MethodPost, "/v1/features", fmt.Sprintf(`{"roots":[%d]}`, root), nil)
+			var resp struct {
+				Rows []json.RawMessage `json:"rows"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || len(resp.Rows) != 1 {
+				t.Fatalf("%s root %d: %d rows (%v): %s", tc.name, root, len(resp.Rows), err, w.Body)
+			}
+			rows++
+			jsonBytes += len(resp.Rows[0])
+		}
+		st := s.cacheStats()
+		if st.Size != rows {
+			t.Fatalf("%s: %d rows cached of %d served", tc.name, st.Size, rows)
+		}
+		ratio := float64(st.Bytes) / float64(jsonBytes)
+		t.Logf("%s: %d rows, %.0f B/row cached vs %.0f B/row JSON (%.3f), %d vocabulary keys",
+			tc.name, rows, float64(st.Bytes)/float64(rows), float64(jsonBytes)/float64(rows), ratio, st.VocabKeys)
+		if ratio > 0.25 {
+			t.Errorf("%s: cached rows take %.3f of their JSON length, budget is 0.25", tc.name, ratio)
+		}
 	}
 }

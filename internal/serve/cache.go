@@ -9,9 +9,10 @@ import (
 )
 
 // DefaultRowCache is the default bound (in rows, across all shards) of
-// the feature-row cache. Entries hold preserialised JSON fragments, so
-// the bound is on row count, not bytes; a row on the benchmark graph is
-// a few KB.
+// the feature-row cache. Entries hold compact rows — vocabulary ids and
+// counts, not JSON text — so the bound is on row count, not bytes; a
+// row on the benchmark graph is a few hundred bytes (CacheStats.Bytes
+// reports the total).
 const DefaultRowCache = 65536
 
 // cacheShardCount shards the row cache to keep lock hold times short
@@ -32,16 +33,6 @@ type rowKey struct {
 	deadline time.Duration
 }
 
-// rowResult is one serving row in its wire form: the preserialised JSON
-// object (exactly what json.Marshal produces for the FeatureRow) plus
-// the degraded bit the response envelope aggregates. Fragments are
-// immutable after creation — the response writer appends them into a
-// pooled buffer, so a cached row is never re-marshalled.
-type rowResult struct {
-	frag     []byte
-	degraded bool
-}
-
 // rowEntry is one LRU cell. epoch pins the serving generation the row
 // was extracted under; a lookup from a newer epoch unlinks it.
 type rowEntry struct {
@@ -53,7 +44,7 @@ type rowEntry struct {
 
 // flight is one in-progress extraction other requests can coalesce on:
 // the leader computes the row once, fulfils the flight, and every
-// follower waiting on done shares the fragment. Followers read the
+// follower waiting on done shares the row. Followers read the
 // result fields only after done is closed (the close is the
 // happens-before edge). shared is false when the leader's row was not
 // deterministic (deadline/cancel/panic flags) — followers then compute
@@ -68,6 +59,7 @@ type flight struct {
 type cacheShard struct {
 	mu      sync.Mutex
 	cap     int
+	bytes   int64 // len(res.data) summed over entries
 	entries map[rowKey]*rowEntry
 	head    *rowEntry // most recently used
 	tail    *rowEntry // least recently used
@@ -121,8 +113,7 @@ func (c *rowCache) get(key rowKey, epoch uint64) (rowResult, bool) {
 		return rowResult{}, false
 	}
 	if e.epoch != epoch {
-		sh.unlink(e)
-		delete(sh.entries, key)
+		sh.remove(e)
 		sh.mu.Unlock()
 		c.misses.Add(1)
 		return rowResult{}, false
@@ -135,11 +126,12 @@ func (c *rowCache) get(key rowKey, epoch uint64) (rowResult, bool) {
 }
 
 // put inserts (or refreshes) a row, evicting from the LRU tail past the
-// shard bound. Caller guarantees res.frag is never mutated afterwards.
+// shard bound. Caller guarantees res.data is never mutated afterwards.
 func (c *rowCache) put(key rowKey, epoch uint64, res rowResult) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	if e := sh.entries[key]; e != nil {
+		sh.bytes += int64(len(res.data) - len(e.res.data))
 		e.epoch, e.res = epoch, res
 		sh.moveToFront(e)
 		sh.mu.Unlock()
@@ -147,11 +139,10 @@ func (c *rowCache) put(key rowKey, epoch uint64, res rowResult) {
 	}
 	e := &rowEntry{key: key, epoch: epoch, res: res}
 	sh.entries[key] = e
+	sh.bytes += int64(len(res.data))
 	sh.pushFront(e)
 	for len(sh.entries) > sh.cap && sh.tail != nil {
-		victim := sh.tail
-		sh.unlink(victim)
-		delete(sh.entries, victim.key)
+		sh.remove(sh.tail)
 		c.evicted.Add(1)
 	}
 	sh.mu.Unlock()
@@ -204,17 +195,24 @@ func (c *rowCache) abandon(key rowKey, f *flight) {
 	c.fulfill(key, f, rowResult{}, false)
 }
 
-// size counts live entries across all shards (stale epochs included —
-// they occupy capacity until dropped).
-func (c *rowCache) size() int {
-	n := 0
+// usage counts the entries and compact row bytes held across all
+// shards (stale epochs included — they occupy capacity until dropped).
+func (c *rowCache) usage() (rows int, bytes int64) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n += len(sh.entries)
+		rows += len(sh.entries)
+		bytes += sh.bytes
 		sh.mu.Unlock()
 	}
-	return n
+	return rows, bytes
+}
+
+// remove drops e from the shard: list, index and byte count.
+func (sh *cacheShard) remove(e *rowEntry) {
+	sh.unlink(e)
+	delete(sh.entries, e.key)
+	sh.bytes -= int64(len(e.res.data))
 }
 
 func (sh *cacheShard) pushFront(e *rowEntry) {
@@ -255,11 +253,16 @@ func (sh *cacheShard) moveToFront(e *rowEntry) {
 // coalesced count per root (one 8-root request contributes up to 8),
 // so hit ratios are row ratios.
 type CacheStats struct {
-	Enabled  bool  `json:"enabled"`
-	Size     int   `json:"size"`
-	Capacity int   `json:"capacity"`
-	Hits     int64 `json:"hits"`
-	Misses   int64 `json:"misses"`
+	Enabled  bool `json:"enabled"`
+	Size     int  `json:"size"`
+	Capacity int  `json:"capacity"`
+	// Bytes is the compact row bytes the cache holds, stale-epoch
+	// entries included; VocabKeys is the number of encoding keys the
+	// serving snapshot has interned, whose strings every row shares.
+	Bytes     int64 `json:"bytes"`
+	VocabKeys int   `json:"vocab_keys"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
 	// Coalesced counts rows a request obtained from a concurrent
 	// request's in-flight extraction instead of computing them itself.
 	Coalesced int64 `json:"coalesced"`
@@ -275,10 +278,13 @@ func (s *Server) cacheStats() *CacheStats {
 	if s.cache == nil {
 		return nil
 	}
+	rows, bytes := s.cache.usage()
 	return &CacheStats{
 		Enabled:   true,
-		Size:      s.cache.size(),
+		Size:      rows,
 		Capacity:  s.cfg.RowCache,
+		Bytes:     bytes,
+		VocabKeys: s.snap.Load().vocab.size(),
 		Hits:      s.cache.hits.Load(),
 		Misses:    s.cache.misses.Load(),
 		Coalesced: s.cache.coalesced.Load(),

@@ -22,13 +22,13 @@ func TestRowCacheLRUEviction(t *testing.T) {
 	// Same root, different budgets: all three keys land in one shard, so
 	// the per-shard bound of 1 forces eviction in LRU order.
 	k := func(budget int64) rowKey { return rowKey{root: 7, budget: budget} }
-	c.put(k(1), 1, rowResult{frag: []byte(`1`)})
-	c.put(k(2), 1, rowResult{frag: []byte(`2`)})
+	c.put(k(1), 1, rowResult{data: []byte(`1`)})
+	c.put(k(2), 1, rowResult{data: []byte(`2`)})
 	if _, ok := c.get(k(1), 1); ok {
 		t.Error("oldest entry survived past the shard bound")
 	}
-	if res, ok := c.get(k(2), 1); !ok || string(res.frag) != `2` {
-		t.Errorf("newest entry lost: %v %q", ok, res.frag)
+	if res, ok := c.get(k(2), 1); !ok || string(res.data) != `2` {
+		t.Errorf("newest entry lost: %v %q", ok, res.data)
 	}
 	if got := c.evicted.Load(); got != 1 {
 		t.Errorf("evicted = %d, want 1", got)
@@ -38,7 +38,7 @@ func TestRowCacheLRUEviction(t *testing.T) {
 func TestRowCacheEpochInvalidation(t *testing.T) {
 	c := newRowCache(0)
 	key := rowKey{root: 3, budget: 10}
-	c.put(key, 1, rowResult{frag: []byte(`x`)})
+	c.put(key, 1, rowResult{data: []byte(`x`)})
 	if _, ok := c.get(key, 1); !ok {
 		t.Fatal("fresh entry missed")
 	}
@@ -50,8 +50,8 @@ func TestRowCacheEpochInvalidation(t *testing.T) {
 	if _, ok := c.get(key, 1); ok {
 		t.Fatal("stale entry resurrected")
 	}
-	if got := c.size(); got != 0 {
-		t.Errorf("size = %d after invalidation, want 0", got)
+	if rows, bytes := c.usage(); rows != 0 || bytes != 0 {
+		t.Errorf("usage = %d rows, %d bytes after invalidation, want 0, 0", rows, bytes)
 	}
 }
 
@@ -74,20 +74,20 @@ func TestRowCacheJoinFulfillShare(t *testing.T) {
 		t.Fatal("cross-epoch join coalesced onto a stale flight")
 	}
 
-	want := rowResult{frag: []byte(`row`), degraded: false}
+	want := rowResult{data: []byte(`row`), degraded: false}
 	c.fulfill(key, f, want, true)
 	select {
 	case <-f.done:
 	default:
 		t.Fatal("fulfill did not close done")
 	}
-	if !f.shared || string(f.res.frag) != `row` {
-		t.Fatalf("flight result = shared=%v %q", f.shared, f.res.frag)
+	if !f.shared || string(f.res.data) != `row` {
+		t.Fatalf("flight result = shared=%v %q", f.shared, f.res.data)
 	}
 	// Deterministic results are cached by fulfill; cross-epoch flights
 	// don't see them (epoch 2 lookup drops the epoch-1 entry).
-	if res, hit, _, _ := c.join(key, 1); !hit || string(res.frag) != `row` {
-		t.Fatalf("post-fulfill join: hit=%v %q", hit, res.frag)
+	if res, hit, _, _ := c.join(key, 1); !hit || string(res.data) != `row` {
+		t.Fatalf("post-fulfill join: hit=%v %q", hit, res.data)
 	}
 }
 
@@ -123,8 +123,8 @@ func normalizeElapsed(body string) string {
 	return elapsedRE.ReplaceAllString(body, `"elapsed_ms":0`)
 }
 
-// TestCachedResponseByteIdentical pins the zero-copy contract: a
-// response assembled from cached fragments is byte-identical (modulo
+// TestCachedResponseByteIdentical pins the cached-row contract: a
+// response expanded from cached compact rows is byte-identical (modulo
 // elapsed_ms) to the cold response that populated the cache AND to a
 // cache-disabled server over the same extractor — complete rows and
 // deterministic budget-truncated rows alike.
@@ -190,7 +190,7 @@ func TestNondeterministicRowsNeverCached(t *testing.T) {
 	if !resp.Degraded {
 		t.Skip("root finished inside the deadline despite the stall; nothing to assert")
 	}
-	if got := s.cache.size(); got != 0 {
+	if got, _ := s.cache.usage(); got != 0 {
 		t.Fatalf("deadline-truncated row was cached (%d entries)", got)
 	}
 }
@@ -227,7 +227,7 @@ func TestCacheHitsServeWhileBreakerOpen(t *testing.T) {
 
 // TestRequestCoalescing: N concurrent requests for the same cold
 // (epoch, root, limits) perform exactly one extraction; followers share
-// the leader's preserialised fragment and the responses are
+// the leader's compact row and the responses are
 // byte-identical.
 func TestRequestCoalescing(t *testing.T) {
 	s, ex := newTestServer(t, Config{})

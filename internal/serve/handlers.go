@@ -112,25 +112,39 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // respBufPool recycles response-assembly buffers across requests so the
-// fragment fast path allocates no per-request scratch.
+// row expansion allocates no per-request scratch.
 var respBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // writeFeaturesResponse assembles and writes a 200 /v1/features body
-// from preserialised row fragments: the envelope is written around the
-// fragments in exactly the field order (and trailing newline) that
+// from compact rows: each row is expanded against the snapshot's
+// vocabulary, and the envelope is written around the rows in exactly
+// the field order (and trailing newline) that
 // json.NewEncoder(w).Encode(FeaturesResponse{...}) would produce, so a
-// response assembled from cached fragments is byte-identical to one
+// response assembled from cached rows is byte-identical to one
 // marshalled from scratch. Fingerprints are always %016x hex, so the
 // string needs no JSON escaping.
+//
+// The vocabulary table is loaded once, after every row was collected,
+// so it covers every id they hold: a row is interned before it is put
+// in the cache (a hit reads it after that put, through the shard lock)
+// or before its flight's done channel closes (a follower reads it after
+// that close). The buffer is grown up front from the rows' recorded
+// JSON lengths, so a pooled buffer expands them without reallocating.
 func (s *Server) writeFeaturesResponse(w http.ResponseWriter, snap *Snapshot, rows []rowResult, degraded bool, elapsedMS int64) {
+	t := snap.vocab.table.Load()
+	need := envelopeMax
+	for i := range rows {
+		need += rows[i].size + 1
+	}
 	buf := respBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
+	buf.Grow(need)
 	buf.WriteString(`{"rows":[`)
 	for i := range rows {
 		if i > 0 {
 			buf.WriteByte(',')
 		}
-		buf.Write(rows[i].frag)
+		buf.Write(appendRow(buf.AvailableBuffer(), rows[i], t))
 	}
 	buf.WriteString(`],"degraded":`)
 	buf.WriteString(strconv.FormatBool(degraded))
@@ -154,38 +168,9 @@ func (s *Server) writeFeaturesResponse(w http.ResponseWriter, snap *Snapshot, ro
 	respBufPool.Put(buf)
 }
 
-// encodeRow renders one census as its wire-form row fragment (the exact
-// bytes json.Marshal produces for the FeatureRow) and reports whether
-// the row is deterministic and therefore cacheable/shareable: complete
-// rows and budget-truncated rows are pure functions of (graph, options,
-// limits); deadline, cancellation and panic truncation depend on
-// scheduling and must be recomputed per request.
-func (s *Server) encodeRow(ex *core.Extractor, root graph.NodeID, c *core.Census) (rowResult, bool) {
-	row := FeatureRow{Root: int64(root)}
-	if c == nil {
-		// Cancelled before this root was ever assigned: an empty,
-		// flagged row — same taxonomy FeatureSet uses for nil rows.
-		row.Flags = core.FlagCancelled.String()
-		row.Truncated = true
-		row.Counts = map[string]int64{}
-	} else {
-		row.Flags = c.Flags.String()
-		row.Truncated = c.Truncated
-		row.Subgraphs = c.Subgraphs
-		row.Counts = make(map[string]int64, len(c.Counts))
-		for key, count := range c.Counts {
-			row.Counts[ex.EncodingString(key)] = count
-		}
-	}
-	frag, err := json.Marshal(row)
-	if err != nil {
-		// Unreachable for this shape; recoverPanics turns it into a 500
-		// and the deferred abandon releases any waiting followers.
-		panic(fmt.Sprintf("serve: marshal feature row: %v", err))
-	}
-	cacheable := c != nil && (c.Flags == 0 || c.Flags == core.FlagBudgetExceeded)
-	return rowResult{frag: frag, degraded: row.Flags != "ok"}, cacheable
-}
+// envelopeMax bounds a features response's bytes outside its rows:
+// the fixed field names, two 20-digit integers and the fingerprint.
+const envelopeMax = 160
 
 func (s *Server) writeError(w http.ResponseWriter, status int, code, message string, retryAfter time.Duration) {
 	s.writeErrorExtra(w, status, code, message, retryAfter, nil)
@@ -237,7 +222,7 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 // gate chain — bounded admission, circuit breaker, extraction — with
 // singleflight coalescing so concurrent requests for the same
 // (epoch, root, limits) compute each census once and share the
-// preserialised fragment.
+// compact row.
 //
 // The serving snapshot is loaded exactly once, up front: a hot reload
 // mid-request swaps the pointer for later arrivals while this request
@@ -318,7 +303,7 @@ func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 		if len(missing) == 0 {
 			// Warm fast path: every row came from cache, no extraction
 			// happens, so the admission gate and breaker are bypassed and
-			// the response is assembled from preserialised fragments.
+			// the response is expanded from the cached compact rows.
 			s.finishFeatures(w, snap, rows, start)
 			return
 		}
@@ -442,7 +427,7 @@ func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 		if !m.leader {
 			continue
 		}
-		res, cacheable := s.encodeRow(ex, m.root, censuses[li])
+		res, cacheable := encodeRow(snap.vocab, ex.EncodingString, m.root, censuses[li])
 		li++
 		m.res, m.resolved = res, true
 		if s.cache != nil {
@@ -450,7 +435,7 @@ func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Follower rows: wait for the leading request's fragment, bounded by
+	// Follower rows: wait for the leading request's row, bounded by
 	// this request's own deadline. A flight that ends without a
 	// shareable row (the leader's extraction was deadline-truncated or
 	// cancelled) falls back to a local extraction.
@@ -480,7 +465,7 @@ func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 		// from an expired ctx surface in the response flags instead.
 		fbCensuses, _ := ex.CensusAllWithLimits(ctx, fbRoots, s.cfg.Workers, lim)
 		for i, m := range fallback {
-			res, cacheable := s.encodeRow(ex, m.root, fbCensuses[i])
+			res, cacheable := encodeRow(snap.vocab, ex.EncodingString, m.root, fbCensuses[i])
 			if s.cache != nil && cacheable {
 				s.cache.put(mkKey(m.root), snap.epoch, res)
 			}
@@ -498,7 +483,7 @@ func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 }
 
 // finishFeatures records the completion counters and writes the 200
-// response assembled from row fragments.
+// response assembled from compact rows.
 func (s *Server) finishFeatures(w http.ResponseWriter, snap *Snapshot, rows []rowResult, start time.Time) {
 	degraded := false
 	for i := range rows {

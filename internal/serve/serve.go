@@ -168,13 +168,17 @@ func NewServerSnapshot(snap *Snapshot, cfg Config) *Server {
 	return s
 }
 
-// publish stamps snap with the next serving epoch and RCU-swaps it in,
-// returning the snapshot it replaced (nil at construction). Every path
-// that installs a serving snapshot — construction, hot reload, ingest
-// publish — must go through here: the epoch bump is what invalidates
-// every feature row cached against the previous snapshot, so a swap
-// that bypassed publish could serve stale rows forever.
+// publish stamps snap with the next serving epoch, gives it a row
+// vocabulary when it has none, and RCU-swaps it in, returning the
+// snapshot it replaced (nil at construction). Every path that installs
+// a serving snapshot — construction, hot reload, ingest publish — must
+// go through here: the epoch bump is what invalidates every feature row
+// cached against the previous snapshot, so a swap that bypassed publish
+// could serve stale rows forever.
 func (s *Server) publish(snap *Snapshot) *Snapshot {
+	if snap.vocab == nil {
+		snap.vocab = newVocab()
+	}
 	snap.epoch = s.epoch.Add(1)
 	return s.snap.Swap(snap)
 }

@@ -50,6 +50,11 @@ type Snapshot struct {
 	// byte-identical to its predecessor — starts from a cold cache
 	// rather than risking a stale row.
 	epoch uint64
+	// vocab interns the encoding keys of the rows served from this
+	// snapshot; Server.publish creates it. A row's ids are only ever
+	// expanded against the vocabulary they were interned in, because
+	// rows are keyed by epoch and one epoch is one snapshot.
+	vocab *vocab
 }
 
 // NewSnapshot wraps an extractor as a serving snapshot, computing the
