@@ -22,8 +22,15 @@ vet:
 build:
 	$(GO) build ./...
 
+# The plain test pass, run once: go test -json feeds testgate, which
+# prints each package's summary and the output of failing and skipped
+# tests, and fails the pass on any failure or skip — a test that skips
+# itself on every run asserts nothing. The race pass below is not
+# gated: the allocation budgets skip themselves under -race.
 test:
-	$(GO) test ./...
+	@events=$$(mktemp); $(GO) test -json ./... > $$events; status=$$?; \
+	$(GO) run ./internal/tools/testgate < $$events || status=1; \
+	rm -f $$events; exit $$status
 
 race:
 	$(GO) test -race ./...
@@ -36,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzParseCompact -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=Fuzz -fuzz=FuzzCounterTable -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=Fuzz -fuzz=FuzzStoreEnvelope -fuzztime=$(FUZZTIME) ./internal/store
+	$(GO) test -run=Fuzz -fuzz=FuzzStreamedEnvelope -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run=Fuzz -fuzz=FuzzWALRecord -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run=Fuzz -fuzz=FuzzParseIngestSnapshot -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeMutations -fuzztime=$(FUZZTIME) ./internal/graph
@@ -105,22 +113,26 @@ bench-all:
 # CI smoke: compile and exercise every benchmark briefly so benchmark
 # code cannot rot, without paying for stable timings. The embedding
 # benchmarks train real models (seconds per op), so they run once.
-# The warm-cache budget tests ride along: a warm 8-root /v1/features
-# request over 100 allocations on the daemon, or over 500 through the
-# router and a 2-shard fleet, fails the target, and so do cached rows
-# taking over a quarter of their JSON length (timings drift with load;
+# The budget tests ride along: a warm 8-root /v1/features request over
+# 100 allocations on the daemon, or over 500 through the router and a
+# 2-shard fleet, fails the target, and so do cached rows taking over a
+# quarter of their JSON length and a graph snapshot write allocating
+# over a quarter of the file it writes (timings drift with load;
 # allocation and byte counts are deterministic, so these are the
-# fast-path regression gates CI can enforce).
+# regression gates CI can enforce).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=100x ./internal/core ./internal/serve
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./internal/embed
 	$(GO) test -run 'TestWarmServeAllocBudget|TestRowCacheBytesBudget' -count=1 -v ./internal/serve
 	$(GO) test -run TestWarmRouterAllocBudget -count=1 -v ./internal/router
+	$(GO) test -run TestStoreWriteAllocBudget -count=1 -v ./internal/core
 
 # Tracked scale ladder (cmd/bench): hierarchical graphs at
 # 10^4/10^5/10^6 nodes, measuring build time, binary-vs-TSV snapshot
-# encode/decode, bytes per edge, census throughput, serve p50/p99, and
-# peak RSS per rung into BENCH_scale.json. Diff it across changes to
+# encode/decode, bytes per edge, the store write's time and allocation,
+# the router's ShardMap build time and heap, the largest shard's node
+# and edge share, census throughput, serve p50/p99, and peak RSS per
+# rung into BENCH_scale.json. Diff it across changes to
 # track how the system scales.
 bench-scale:
 	$(GO) run ./cmd/bench scale

@@ -4,9 +4,10 @@ package main
 // hierarchical community network, builds the CSR graph, round-trips it
 // through both snapshot formats, and measures what production cares
 // about at that scale — build time, snapshot encode/decode time for
-// binary vs TSV, bytes per edge, the router's manifest load, census
-// throughput, serve-path p50/p99, and peak RSS — one JSON object per
-// rung.
+// binary vs TSV, bytes per edge, the store write's time and allocation,
+// the router's manifest load and write-side graph, how much of the
+// graph a shard copies, census throughput, serve-path p50/p99, and
+// peak RSS — one JSON object per rung.
 
 import (
 	"bytes"
@@ -14,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"hsgf/internal/core"
@@ -56,6 +58,14 @@ type rung struct {
 	// cores).
 	BinLoadSpeedup float64 `json:"bin_load_speedup"`
 
+	// StoreWriteSeconds and StoreWriteAllocBytes are one
+	// SaveGraphSnapshots of the rung's graph: its time, and the bytes
+	// allocated meanwhile (the runtime.MemStats.TotalAlloc delta). The
+	// write streams the CSR into the file, so the allocation does not
+	// grow with the graph.
+	StoreWriteSeconds    float64 `json:"store_write_seconds"`
+	StoreWriteAllocBytes uint64  `json:"store_write_alloc_bytes"`
+
 	// StoreLoadSeconds is the full production boot path: newest
 	// generation through the store's mapped loader, SHA-256
 	// verification included. Mmapped reports whether the zero-copy
@@ -68,6 +78,20 @@ type rung struct {
 	// of a halo-4 partition of these graphs (each shard of a 10^5-node
 	// rung holds 99.8% of the nodes). Validation included.
 	ManifestLoadSeconds float64 `json:"manifest_load_seconds"`
+
+	// ShardMapBuildSeconds and ShardMapHeapBytes are the router's
+	// write-side graph (graph.NewShardMap over the mapped graph) for a
+	// 2-shard fleet at halo emax+1: its build time and the live heap it
+	// adds.
+	ShardMapBuildSeconds float64 `json:"shardmap_build_seconds"`
+	ShardMapHeapBytes    int64   `json:"shardmap_heap_bytes"`
+
+	// LargestShardNodeShare and LargestShardEdgeShare are the largest
+	// shard's nodes and edges over the whole graph's in that partition
+	// (PartitionByRoot's cut, which NewShardMap reproduces member for
+	// member): 1 means every shard is a copy of the whole graph.
+	LargestShardNodeShare float64 `json:"largest_shard_node_share"`
+	LargestShardEdgeShare float64 `json:"largest_shard_edge_share"`
 
 	CensusRoots           int     `json:"census_roots"`
 	CensusRootsPerSec     float64 `json:"census_roots_per_sec"`
@@ -174,9 +198,16 @@ func runRung(n, censusRoots int, serveSeconds float64) (rung, error) {
 	if err != nil {
 		return r, err
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	t0 = time.Now()
 	if _, err := core.SaveGraphSnapshots(st, g); err != nil {
 		return r, err
 	}
+	r.StoreWriteSeconds = time.Since(t0).Seconds()
+	runtime.ReadMemStats(&after)
+	r.StoreWriteAllocBytes = after.TotalAlloc - before.TotalAlloc
+
 	t0 = time.Now()
 	mg, _, err := core.LoadGraphSnapshotAuto(st)
 	if err != nil {
@@ -185,6 +216,9 @@ func runRung(n, censusRoots int, serveSeconds float64) (rung, error) {
 	r.StoreLoadSeconds = time.Since(t0).Seconds()
 
 	if r.ManifestLoadSeconds, err = manifestLoad(filepath.Join(dir, "manifest.json"), n); err != nil {
+		return r, err
+	}
+	if err := shardMapRung(&r, mg); err != nil {
 		return r, err
 	}
 
@@ -228,6 +262,43 @@ func runRung(n, censusRoots int, serveSeconds float64) (rung, error) {
 
 	r.MaxRSSBytes = sysres.MaxRSSBytes()
 	return r, nil
+}
+
+// shardMapRung measures the router's write-side graph over g for a
+// 2-shard fleet at halo emax+1 — build time and the heap it holds once
+// built — and each shard's node and edge share, which says how much of
+// the graph a shard of that fleet copies.
+func shardMapRung(r *rung, g *graph.Graph) error {
+	const shards = 2
+	var before, after runtime.MemStats
+	// Two collections: the first moves sync.Pool contents to the victim
+	// cache, the second frees them, so neither counts against the map.
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	t0 := time.Now()
+	sm, err := graph.NewShardMap(g, graph.PartitionConfig{NumShards: shards, HaloDepth: scaleEmax + 1})
+	if err != nil {
+		return err
+	}
+	r.ShardMapBuildSeconds = time.Since(t0).Seconds()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	r.ShardMapHeapBytes = max(0, int64(after.HeapAlloc)-int64(before.HeapAlloc))
+	for s := 0; s < shards; s++ {
+		edges := 0
+		g.Edges(func(u, v graph.NodeID) bool {
+			_, uIn := sm.LocalID(s, u)
+			_, vIn := sm.LocalID(s, v)
+			if uIn && vIn {
+				edges++
+			}
+			return true
+		})
+		r.LargestShardNodeShare = max(r.LargestShardNodeShare, float64(sm.ShardSize(s))/float64(g.NumNodes()))
+		r.LargestShardEdgeShare = max(r.LargestShardEdgeShare, float64(edges)/float64(max(1, g.NumEdges())))
+	}
+	return nil
 }
 
 // manifestLoad writes a 2-shard manifest over n nodes in which each

@@ -342,8 +342,9 @@ func runPartition(in, outDir string, nShards, halo, emax int, dmaxPct float64) e
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", p.Shard, err)
 		}
-		fmt.Fprintf(os.Stderr, "hsgf: shard %d: %d nodes (%d owned roots), %d edges -> %s (generation %d)\n",
-			p.Shard, p.Graph.NumNodes(), len(p.OwnedRoots), p.Graph.NumEdges(), dir, gen)
+		fmt.Fprintf(os.Stderr, "hsgf: shard %d: %d nodes (%.1f%% of the graph, %d owned roots), %d edges (%.1f%%) -> %s (generation %d)\n",
+			p.Shard, p.Graph.NumNodes(), share(p.Graph.NumNodes(), g.NumNodes()), len(p.OwnedRoots),
+			p.Graph.NumEdges(), share(p.Graph.NumEdges(), g.NumEdges()), dir, gen)
 	}
 	m := router.BuildManifest(g.NumNodes(), halo, plans)
 	path := filepath.Join(outDir, "manifest.json")
@@ -352,4 +353,14 @@ func runPartition(in, outDir string, nShards, halo, emax int, dmaxPct float64) e
 	}
 	fmt.Fprintf(os.Stderr, "hsgf: wrote routing manifest %s (%d shards, halo depth %d)\n", path, nShards, halo)
 	return nil
+}
+
+// share is part as a percentage of whole (0 for an empty whole): a
+// shard's replication factor, since halos copy nodes into several
+// shards.
+func share(part, whole int) float64 {
+	if whole == 0 {
+		return 0
+	}
+	return 100 * float64(part) / float64(whole)
 }

@@ -312,13 +312,15 @@ func (w *worker) census(root graph.NodeID) *Census {
 	if w.aborted {
 		// The enumeration unwound without its usual bookkeeping; rebuild
 		// the persistent state wholesale (O(V+E), once per truncated
-		// root) so subsequent censuses start clean.
+		// root) so subsequent censuses start clean, and the pool keeps
+		// the worker.
 		for i := range w.edgeState {
 			w.edgeState[i] = 0
 		}
 		for _, v := range w.nodes {
 			w.nodePos[v] = -1
 		}
+		w.edges = 0
 		w.nodes = w.nodes[:0]
 		w.slabels = w.slabels[:0]
 		w.tv = w.tv[:0]

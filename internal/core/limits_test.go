@@ -60,32 +60,42 @@ func TestMaxSubgraphsPerRootTruncates(t *testing.T) {
 	}
 }
 
+// TestTruncationLeavesWorkerStateClean: a worker whose root was cut
+// short by the subgraph budget must start its next root exact. The
+// budget sits just above the smallest root's census, so the largest
+// root truncates and the smallest fits; both run on one worker, which
+// is what the pool would hand on (it drops only visibly dirty ones).
 func TestTruncationLeavesWorkerStateClean(t *testing.T) {
-	// After a truncated root, further censuses through the same
-	// extractor must be exact: compare against a fresh extractor.
 	g := denseGraph(t, 60)
-	ex, _ := NewExtractor(g, Options{MaxEdges: 3, MaxSubgraphsPerRoot: 100})
-	_ = ex.Census(0) // truncated
-
-	// Pick a low-degree node whose census fits the budget.
-	small := graph.NodeID(-1)
-	for v := 0; v < g.NumNodes(); v++ {
-		probe, _ := NewExtractor(g, Options{MaxEdges: 3})
-		if probe.Census(graph.NodeID(v)).Subgraphs < 100 {
+	fresh, _ := NewExtractor(g, Options{MaxEdges: 3})
+	small, big := graph.NodeID(0), graph.NodeID(0)
+	sizes := make([]int64, g.NumNodes())
+	for v := range sizes {
+		sizes[v] = fresh.Census(graph.NodeID(v)).Subgraphs
+		if sizes[v] < sizes[small] {
 			small = graph.NodeID(v)
-			break
+		}
+		if sizes[v] > sizes[big] {
+			big = graph.NodeID(v)
 		}
 	}
-	if small < 0 {
-		t.Skip("no node with a small census in this graph")
+	budget := sizes[small] + 1
+	if sizes[big] < 2*budget {
+		t.Fatalf("largest census %d is too close to the smallest %d to truncate it alone", sizes[big], sizes[small])
 	}
-	got := ex.Census(small)
-	fresh, _ := NewExtractor(g, Options{MaxEdges: 3})
-	want := fresh.Census(small)
+	ex, _ := NewExtractor(g, Options{MaxEdges: 3, MaxSubgraphsPerRoot: budget})
+	w := ex.getWorker(censusRun{})
+	if c := w.census(big); !c.Truncated {
+		t.Fatalf("root %d (%d subgraphs) not truncated at budget %d", big, sizes[big], budget)
+	}
+	if !w.clean() {
+		t.Fatal("worker left dirty by a truncated root")
+	}
+	got := w.census(small)
 	if got.Truncated {
 		t.Fatal("small census should not be truncated")
 	}
-	if !reflect.DeepEqual(got.Counts, want.Counts) {
+	if want := fresh.Census(small); !reflect.DeepEqual(got.Counts, want.Counts) {
 		t.Fatal("state leaked from the truncated root into the next census")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 
 	"hsgf/internal/graph"
@@ -18,9 +19,10 @@ import (
 // ReadGraphFile; the store never holds it.
 
 // SaveGraphSnapshots writes g into st as the next "graphbin"
-// generation. The binary payload's array sections are aligned relative
-// to the enclosing file (via store.PayloadOffset), so a later mapped
-// load can alias them without copying. Typed graphs are refused
+// generation, encoding the CSR straight into the file (GraphSection).
+// The binary payload's array sections are aligned relative to the
+// enclosing file (via store.PayloadOffset), so a later mapped load can
+// alias them without copying. Typed graphs are refused
 // (graph.ErrEdgeTyped) before anything is written.
 func SaveGraphSnapshots(st *store.Store, g *graph.Graph) (uint64, error) {
 	// Frame with an empty payload first: the payload's file offset
@@ -30,13 +32,25 @@ func SaveGraphSnapshots(st *store.Store, g *graph.Graph) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	fileBase := store.PayloadOffset(sections, 1)
-	payload, err := graph.EncodeBinary(g, fileBase)
-	if err != nil {
+	if sections[1], err = GraphSection(ArtifactGraphBin, g, store.PayloadOffset(sections, 1)); err != nil {
 		return 0, err
 	}
-	sections[1].Payload = payload
 	return st.Write(ArtifactGraphBin, sections)
+}
+
+// GraphSection is g's binary payload as a store section named name,
+// for a payload that starts fileBase bytes into its file (0 when
+// nothing maps the file). Its size is known up front and the store's
+// writer encodes the CSR straight into the file, so the payload is
+// never held in memory.
+func GraphSection(name string, g *graph.Graph, fileBase int) (store.Section, error) {
+	size, err := graph.BinarySize(g, fileBase)
+	if err != nil {
+		return store.Section{}, err
+	}
+	return store.Section{Name: name, Size: size, Stream: func(w io.Writer) error {
+		return graph.EncodeBinaryTo(w, g, fileBase)
+	}}, nil
 }
 
 // LoadGraphSnapshotAuto loads the newest "graphbin" generation that

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"hsgf/internal/datagen"
 	"hsgf/internal/graph"
 	"hsgf/internal/store"
 )
@@ -295,5 +296,39 @@ func TestNewerGraphGenerationRefused(t *testing.T) {
 	}
 	if gens, err := st.Generations(ArtifactGraphBin); err != nil || len(gens) != 2 {
 		t.Fatalf("generations %v (%v), want both kept", gens, err)
+	}
+}
+
+// TestStoreWriteAllocBudget gates the streamed write path: saving a
+// 10⁴-node hierarchical graph allocates under a quarter of the file it
+// writes. A write that held the payload in memory would allocate at
+// least the file size; streaming allocates the write buffers and a
+// little framing, whatever the graph's size.
+func TestStoreWriteAllocBudget(t *testing.T) {
+	cfg := datagen.DefaultHierarchicalConfig(10_000)
+	b := graph.NewBuilderWithAlphabet(graph.MustAlphabet(cfg.Labels...))
+	if _, err := datagen.PopulateHierarchical(cfg, b); err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := openTestStore(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	gen, err := SaveGraphSnapshots(st, g)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(st.Path(ArtifactGraphBin, gen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("SaveGraphSnapshots allocated %d bytes for a %d-byte file (%.3f of it)", alloc, fi.Size(), float64(alloc)/float64(fi.Size()))
+	if alloc*4 >= uint64(fi.Size()) {
+		t.Fatalf("SaveGraphSnapshots allocated %d bytes, over a quarter of the %d-byte file", alloc, fi.Size())
 	}
 }

@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"sort"
@@ -12,7 +15,7 @@ import (
 
 // Binary graph snapshots.
 //
-// EncodeBinary lays the Graph's CSR arrays out as little-endian sections
+// EncodeBinaryTo lays the Graph's CSR arrays out as little-endian sections
 // in one flat payload, each 8-byte aligned relative to the *file* (the
 // encoder is told the file offset its payload will start at), so a
 // loader that mmaps the enclosing snapshot can alias the arrays straight
@@ -70,136 +73,242 @@ func align8(off int) int {
 	return (8 - off%8) % 8
 }
 
-// EncodeBinary serialises g as a binary graph payload. fileBase is the
-// offset within the final file at which the payload's first byte will
-// land (see store.PayloadOffset); every array section is padded so its
-// file offset — and therefore its address in a page-aligned mapping —
-// is 8-byte aligned. Pass 0 for a standalone payload. The format has no
-// edge-type section, so typed graphs are refused (ErrEdgeTyped).
-func EncodeBinary(g *Graph, fileBase int) ([]byte, error) {
+// secWidth is the byte width of section i's elements: 1 for the string
+// blobs, 4 for the int32 arrays (which are 8-byte aligned in the file).
+func secWidth(i int) int {
+	if i == secAlphaBlob || i == secNameBlob {
+		return 1
+	}
+	return 4
+}
+
+// binLayout is a graph's binary payload layout: header fields and
+// every section's byte offset and element count, known before a byte
+// is encoded.
+type binLayout struct {
+	n, m, k      int
+	flags        uint64
+	offs, counts [binSections]int
+	size         int
+}
+
+// binaryLayout lays g out as a binary payload starting fileBase bytes
+// into the final file (see EncodeBinaryTo). It refuses typed graphs and
+// graphs past the int32 format bounds.
+func binaryLayout(g *Graph, fileBase int) (*binLayout, error) {
 	if err := g.RequireUntyped("graph: binary encoding"); err != nil {
 		return nil, err
 	}
-	n, m, k := g.NumNodes(), g.NumEdges(), g.NumLabels()
+	l := &binLayout{n: g.NumNodes(), m: g.NumEdges(), k: g.NumLabels()}
+	n, m := l.n, l.m
 	if n > math.MaxInt32 || m > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: %d nodes / %d edges exceed the int32 binary format bounds", n, m)
 	}
-	var flags uint64
-	if g.names != nil {
-		flags |= flagNames
-	}
-
 	var alphaNames []string
 	if g.alphabet != nil {
 		alphaNames = g.alphabet.names
 	}
-	alphaOffs, alphaBlob, err := packStrings(alphaNames)
+	alphaBlob, err := stringsLen(alphaNames)
 	if err != nil {
 		return nil, fmt.Errorf("graph: label alphabet: %w", err)
 	}
-	var nameOffs []int32
-	var nameBlob []byte
-	if flags&flagNames != 0 {
-		if nameOffs, nameBlob, err = packStrings(g.names); err != nil {
+	nameOffs, nameBlob := 0, 0
+	if g.names != nil {
+		l.flags |= flagNames
+		if nameBlob, err = stringsLen(g.names); err != nil {
 			return nil, fmt.Errorf("graph: node names: %w", err)
 		}
+		nameOffs = n + 1
 	}
-
-	type sec struct {
-		bytes int // payload size
-		align bool
+	l.counts = [binSections]int{
+		secLabels:    n,
+		secOffsets:   n + 1,
+		secAdj:       2 * m,
+		secAdjEdge:   2 * m,
+		secEnds:      2 * m,
+		secAlphaOffs: len(alphaNames) + 1,
+		secAlphaBlob: alphaBlob,
+		secNameOffs:  nameOffs,
+		secNameBlob:  nameBlob,
 	}
-	secs := [binSections]sec{
-		secLabels:    {4 * n, true},
-		secOffsets:   {4 * (n + 1), true},
-		secAdj:       {4 * 2 * m, true},
-		secAdjEdge:   {4 * 2 * m, true},
-		secEnds:      {4 * 2 * m, true},
-		secAlphaOffs: {4 * len(alphaOffs), true},
-		secAlphaBlob: {len(alphaBlob), false},
-		secNameOffs:  {4 * len(nameOffs), true},
-		secNameBlob:  {len(nameBlob), false},
-	}
-	counts := [binSections]uint64{
-		secLabels:    uint64(n),
-		secOffsets:   uint64(n + 1),
-		secAdj:       uint64(2 * m),
-		secAdjEdge:   uint64(2 * m),
-		secEnds:      uint64(2 * m),
-		secAlphaOffs: uint64(len(alphaOffs)),
-		secAlphaBlob: uint64(len(alphaBlob)),
-		secNameOffs:  uint64(len(nameOffs)),
-		secNameBlob:  uint64(len(nameBlob)),
-	}
-
-	offs := [binSections]int{}
 	pos := binHeaderLen
-	for i, s := range secs {
-		if s.bytes == 0 {
+	for i, c := range l.counts {
+		if c == 0 {
 			continue
 		}
-		if s.align {
+		if secWidth(i) == 4 {
 			pos += align8(fileBase + pos)
 		}
-		offs[i] = pos
-		pos += s.bytes
+		l.offs[i] = pos
+		pos += secWidth(i) * c
 	}
-
-	buf := make([]byte, pos)
-	copy(buf, binMagic)
-	le := binary.LittleEndian
-	le.PutUint64(buf[8:], uint64(n))
-	le.PutUint64(buf[16:], uint64(m))
-	le.PutUint64(buf[24:], uint64(k))
-	le.PutUint64(buf[32:], flags)
-	for i := 0; i < binSections; i++ {
-		le.PutUint64(buf[40+16*i:], uint64(offs[i]))
-		le.PutUint64(buf[48+16*i:], counts[i])
-	}
-	putInt32s(buf[offs[secLabels]:], g.labels)
-	putInt32s(buf[offs[secOffsets]:], g.offsets)
-	putInt32s(buf[offs[secAdj]:], g.adj)
-	putInt32s(buf[offs[secAdjEdge]:], g.adjEdge)
-	putInt32s(buf[offs[secEnds]:], g.ends)
-	putInt32s(buf[offs[secAlphaOffs]:], alphaOffs)
-	copy(buf[offs[secAlphaBlob]:], alphaBlob)
-	putInt32s(buf[offs[secNameOffs]:], nameOffs)
-	copy(buf[offs[secNameBlob]:], nameBlob)
-	return buf, nil
+	l.size = pos
+	return l, nil
 }
 
-// packStrings concatenates strs into one blob with a cumulative byte
-// offset table (len(strs)+1 entries). Blobs past the int32 offset range
-// are an error — mirroring EncodeBinary's node/edge bound — since a
-// wrapped offset would write a silently corrupt table.
-func packStrings(strs []string) ([]int32, []byte, error) {
+// BinarySize returns the length of g's binary payload at fileBase —
+// what EncodeBinaryTo writes — or the error EncodeBinaryTo would
+// return before writing.
+func BinarySize(g *Graph, fileBase int) (int, error) {
+	l, err := binaryLayout(g, fileBase)
+	if err != nil {
+		return 0, err
+	}
+	return l.size, nil
+}
+
+// EncodeBinary serialises g as a binary graph payload in memory; see
+// EncodeBinaryTo.
+func EncodeBinary(g *Graph, fileBase int) ([]byte, error) {
+	size, err := BinarySize(g, fileBase)
+	if err != nil {
+		return nil, err
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	if err := EncodeBinaryTo(buf, g, fileBase); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// EncodeBinaryTo writes g's binary graph payload to w, BinarySize bytes
+// in order, holding none of it in memory: the CSR arrays go to w as
+// they are. fileBase is the offset within the final file at which the
+// payload's first byte will land (see store.PayloadOffset); every array
+// section is padded so its file offset — and therefore its address in a
+// page-aligned mapping — is 8-byte aligned. Pass 0 for a standalone
+// payload. The format has no edge-type section, so typed graphs are
+// refused (ErrEdgeTyped) before anything is written.
+func EncodeBinaryTo(w io.Writer, g *Graph, fileBase int) error {
+	l, err := binaryLayout(g, fileBase)
+	if err != nil {
+		return err
+	}
+	// bw's first write error sticks: later writes do nothing and Flush
+	// returns it, so the writes below go unchecked.
+	cw := &countWriter{w: w}
+	bw := bufio.NewWriterSize(cw, binChunk)
+	le := binary.LittleEndian
+	var hdr [binHeaderLen]byte
+	copy(hdr[:], binMagic)
+	le.PutUint64(hdr[8:], uint64(l.n))
+	le.PutUint64(hdr[16:], uint64(l.m))
+	le.PutUint64(hdr[24:], uint64(l.k))
+	le.PutUint64(hdr[32:], l.flags)
+	for i := 0; i < binSections; i++ {
+		le.PutUint64(hdr[40+16*i:], uint64(l.offs[i]))
+		le.PutUint64(hdr[48+16*i:], uint64(l.counts[i]))
+	}
+	bw.Write(hdr[:])
+	var alphaNames []string
+	if g.alphabet != nil {
+		alphaNames = g.alphabet.names
+	}
+	var zero [8]byte
+	end := binHeaderLen // where the previous section ended
+	for i := 0; i < binSections; i++ {
+		if l.counts[i] == 0 {
+			continue
+		}
+		bw.Write(zero[:l.offs[i]-end])
+		end = l.offs[i] + secWidth(i)*l.counts[i]
+		switch i {
+		case secLabels:
+			writeInt32s(bw, g.labels)
+		case secOffsets:
+			writeInt32s(bw, g.offsets)
+		case secAdj:
+			writeInt32s(bw, g.adj)
+		case secAdjEdge:
+			writeInt32s(bw, g.adjEdge)
+		case secEnds:
+			writeInt32s(bw, g.ends)
+		case secAlphaOffs:
+			writeStringOffsets(bw, alphaNames)
+		case secAlphaBlob:
+			writeStrings(bw, alphaNames)
+		case secNameOffs:
+			writeStringOffsets(bw, g.names)
+		case secNameBlob:
+			writeStrings(bw, g.names)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	if cw.n != l.size {
+		return fmt.Errorf("graph: binary encoding wrote %d bytes, layout says %d", cw.n, l.size)
+	}
+	return nil
+}
+
+// stringsLen returns the concatenated length of strs. Blobs past the
+// int32 offset range are an error — mirroring the node/edge bound —
+// since a wrapped offset would write a silently corrupt table.
+func stringsLen(strs []string) (int, error) {
 	total := 0
 	for _, s := range strs {
 		total += len(s)
 	}
 	if total > math.MaxInt32 {
-		return nil, nil, fmt.Errorf("string blob of %d bytes exceeds the int32 binary format bounds", total)
+		return 0, fmt.Errorf("string blob of %d bytes exceeds the int32 binary format bounds", total)
 	}
-	offs := make([]int32, len(strs)+1)
-	pos := 0
-	for i, s := range strs {
-		offs[i] = int32(pos)
-		pos += len(s)
-	}
-	offs[len(strs)] = int32(pos)
-	blob := make([]byte, 0, total)
-	for _, s := range strs {
-		blob = append(blob, s...)
-	}
-	return offs, blob, nil
+	return total, nil
 }
 
-// putInt32s writes vals little-endian into dst. On little-endian
-// hardware this compiles to a memmove-width loop; correctness does not
-// depend on host byte order.
-func putInt32s[T ~int32](dst []byte, vals []T) {
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
+// binChunk is EncodeBinaryTo's buffer size: the small pieces (header,
+// padding, offset tables, strings) gather into writes of this size.
+const binChunk = 32 << 10
+
+// countWriter counts the bytes that reach w.
+type countWriter struct {
+	w io.Writer
+	n int
+}
+
+func (cw *countWriter) Write(p []byte) (int, error) {
+	n, err := cw.w.Write(p)
+	cw.n += n
+	return n, err
+}
+
+// writeStringOffsets emits the cumulative byte offset table of strs
+// (len(strs)+1 entries) that unpackStrings reads.
+func writeStringOffsets(bw *bufio.Writer, strs []string) {
+	var b [4]byte
+	pos := 0
+	for _, s := range strs {
+		binary.LittleEndian.PutUint32(b[:], uint32(pos))
+		bw.Write(b[:])
+		pos += len(s)
+	}
+	binary.LittleEndian.PutUint32(b[:], uint32(pos))
+	bw.Write(b[:])
+}
+
+// writeStrings emits the concatenation of strs.
+func writeStrings(bw *bufio.Writer, strs []string) {
+	for _, s := range strs {
+		bw.WriteString(s)
+	}
+}
+
+// writeInt32s emits vals little-endian. On little-endian hardware the
+// array's own memory is the encoding and goes to bw's Write whole, which
+// passes it on without a copy once the buffer is drained; elsewhere it
+// is converted a value at a time.
+func writeInt32s[T ~int32](bw *bufio.Writer, vals []T) {
+	if len(vals) == 0 {
+		return
+	}
+	if littleEndianHost {
+		bw.Write(unsafe.Slice((*byte)(unsafe.Pointer(&vals[0])), 4*len(vals)))
+		return
+	}
+	var b [4]byte
+	for _, v := range vals {
+		binary.LittleEndian.PutUint32(b[:], uint32(v))
+		bw.Write(b[:])
 	}
 }
 

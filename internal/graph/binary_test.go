@@ -282,8 +282,8 @@ func TestEncodeBinaryRejectsOversizedBlob(t *testing.T) {
 	for i := range names {
 		names[i] = big
 	}
-	if _, _, err := packStrings(names); err == nil {
-		t.Fatal("packStrings accepted a >2GiB blob")
+	if _, err := stringsLen(names); err == nil {
+		t.Fatal("stringsLen accepted a >2GiB blob")
 	}
 
 	b := NewBuilderWithAlphabet(MustAlphabet("a"))
@@ -297,6 +297,44 @@ func TestEncodeBinaryRejectsOversizedBlob(t *testing.T) {
 	g := b.MustBuild()
 	if _, err := EncodeBinary(g, 0); err == nil {
 		t.Fatal("EncodeBinary accepted >2GiB of node names")
+	}
+}
+
+// failAfter accepts limit bytes, then fails every write.
+type failAfter struct{ limit int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.limit {
+		n := f.limit
+		f.limit = 0
+		return n, fmt.Errorf("disk full")
+	}
+	f.limit -= len(p)
+	return len(p), nil
+}
+
+// TestEncodeBinaryToSurfacesWriteErrors cuts the writer off at offsets
+// across a named graph's payload (header, arrays, name tables, last
+// byte): EncodeBinaryTo must return the error, never nil or a panic,
+// and a writer that takes everything must get BinarySize bytes.
+func TestEncodeBinaryToSurfacesWriteErrors(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var g *Graph
+	for g == nil || g.names == nil {
+		g = randomSnapGraph(t, rng, 3000)
+	}
+	size, err := BinarySize(g, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []int{0, 1, binHeaderLen, binChunk - 1, binChunk + 3, size / 2, size - 1} {
+		if err := EncodeBinaryTo(&failAfter{limit: cut}, g, 5); err == nil {
+			t.Fatalf("cut at %d of %d bytes: no error", cut, size)
+		}
+	}
+	var buf bytes.Buffer
+	if err := EncodeBinaryTo(&buf, g, 5); err != nil || buf.Len() != size {
+		t.Fatalf("full write: %d bytes, err %v; want %d", buf.Len(), err, size)
 	}
 }
 

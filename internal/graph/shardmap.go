@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file is the fleet-ingest side of the root-based partitioner: a
@@ -34,22 +34,36 @@ type ShardMap struct {
 	numShards int
 	haloDepth int
 
+	// base is the graph the map was built from (the router's own boot
+	// graph), shared and read-only. A node reads its adjacency from
+	// base until a batch adds or removes one of its edges; from then on
+	// it reads its copy-on-write list adj[cow[v]-1], ascending by ID.
+	// cow[v] == 0 means "still base"; nodes a batch added read an empty
+	// list until they gain an edge.
+	base     *Graph
+	cow      []int32
+	adj      [][]NodeID
 	alphabet *Alphabet
 	labels   []Label
+	// names is nil while no node has a name (the graph has none and no
+	// batch added a named node).
 	names    []string
-	adj      []map[NodeID]struct{}
 	numEdges int
 
 	shards []*shardMembers
+	// sorted is sortedNeighbors' buffer for base adjacency.
+	sorted []NodeID
 }
 
-// shardMembers is one shard's membership state: local-ID assignment in
-// engine application order and each member's recorded distance to the
-// nearest owned root (0 for owned nodes).
+// shardMembers is one shard's membership state, dense over global IDs:
+// dist[v] is v's recorded distance to the nearest owned root (0 for
+// owned nodes) and g2l[v] its local ID, both -1 when v is not a member.
+// Local IDs are assigned in engine application order, so count is the
+// shard's node count.
 type shardMembers struct {
-	g2l   map[NodeID]NodeID
+	dist  []int32
+	g2l   []NodeID
 	count NodeID
-	dist  map[NodeID]int32
 }
 
 // ShardDelta is one shard's slice of an applied batch: the sub-batch in
@@ -69,7 +83,9 @@ type ShardDelta struct {
 // PartitionByRoot + Induced over the same inputs (members ascending by
 // global ID), so a ShardMap constructed from the partition-time graph
 // speaks the same local IDs as the manifest written next to the shard
-// snapshots. Like PartitionByRoot it refuses typed graphs.
+// snapshots. Like PartitionByRoot it refuses typed graphs. The map keeps
+// g as its base adjacency and copies none of it; each shard's halo BFS
+// runs over g's CSR with two O(V) arrays of its own.
 func NewShardMap(g *Graph, cfg PartitionConfig) (*ShardMap, error) {
 	if err := g.RequireUntyped("graph: shard map"); err != nil {
 		return nil, err
@@ -84,62 +100,64 @@ func NewShardMap(g *Graph, cfg PartitionConfig) (*ShardMap, error) {
 	sm := &ShardMap{
 		numShards: cfg.NumShards,
 		haloDepth: cfg.HaloDepth,
+		base:      g,
+		cow:       make([]int32, n),
 		alphabet:  g.Alphabet(),
-		labels:    make([]Label, n),
-		names:     make([]string, n),
-		adj:       make([]map[NodeID]struct{}, n),
+		labels:    append([]Label(nil), g.labels...),
 		numEdges:  g.NumEdges(),
+		shards:    make([]*shardMembers, cfg.NumShards),
 	}
-	for v := 0; v < n; v++ {
-		sm.labels[v] = g.Label(NodeID(v))
-		sm.names[v] = g.Name(NodeID(v))
-		nbrs := g.Neighbors(NodeID(v))
-		m := make(map[NodeID]struct{}, len(nbrs))
-		for _, w := range nbrs {
-			m[w] = struct{}{}
-		}
-		sm.adj[v] = m
+	if g.names != nil {
+		sm.names = append([]string(nil), g.names...)
 	}
 
 	owned := make([][]NodeID, cfg.NumShards)
 	for v := NodeID(0); int(v) < n; v++ {
-		owned[RootShard(v, cfg.NumShards)] = append(owned[RootShard(v, cfg.NumShards)], v)
+		s := RootShard(v, cfg.NumShards)
+		owned[s] = append(owned[s], v)
 	}
-	sm.shards = make([]*shardMembers, cfg.NumShards)
-	for s := 0; s < cfg.NumShards; s++ {
-		sv := &shardMembers{
-			g2l:  make(map[NodeID]NodeID, len(owned[s])*2),
-			dist: make(map[NodeID]int32, len(owned[s])*2),
-		}
-		frontier := make([]NodeID, 0, len(owned[s]))
-		for _, r := range owned[s] {
-			sv.dist[r] = 0
-			frontier = append(frontier, r)
-		}
-		for depth := int32(0); int(depth) < cfg.HaloDepth && len(frontier) > 0; depth++ {
-			var next []NodeID
-			for _, u := range frontier {
-				for w := range sm.adj[u] {
-					if _, ok := sv.dist[w]; !ok {
-						sv.dist[w] = depth + 1
-						next = append(next, w)
-					}
-				}
-			}
-			frontier = next
-		}
-		members := make([]NodeID, 0, len(sv.dist))
-		for v := range sv.dist {
-			members = append(members, v)
-		}
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		for _, v := range members {
-			sv.g2l[v] = sv.count
-			sv.count++
-		}
-		sm.shards[s] = sv
+	for s := range sm.shards {
+		sm.shards[s] = haloMembers(g, owned[s], cfg.HaloDepth)
 	}
 	return sm, nil
+}
+
+// haloMembers is one shard's boot membership: a multi-source BFS from
+// the owned roots to depth halo over g's CSR, then local IDs by
+// ascending global ID.
+func haloMembers(g *Graph, roots []NodeID, halo int) *shardMembers {
+	n := g.NumNodes()
+	sv := &shardMembers{dist: make([]int32, n), g2l: make([]NodeID, n)}
+	for v := range sv.dist {
+		sv.dist[v] = -1
+	}
+	frontier := make([]NodeID, 0, len(roots))
+	for _, r := range roots {
+		sv.dist[r] = 0
+		frontier = append(frontier, r)
+	}
+	var next []NodeID
+	for depth := int32(1); int(depth) <= halo && len(frontier) > 0; depth++ {
+		next = next[:0]
+		for _, u := range frontier {
+			for _, w := range g.Neighbors(u) {
+				if sv.dist[w] < 0 {
+					sv.dist[w] = depth
+					next = append(next, w)
+				}
+			}
+		}
+		frontier, next = next, frontier
+	}
+	for v, d := range sv.dist {
+		if d < 0 {
+			sv.g2l[v] = -1
+			continue
+		}
+		sv.g2l[v] = sv.count
+		sv.count++
+	}
+	return sv
 }
 
 // NumShards returns the shard count.
@@ -157,8 +175,11 @@ func (sm *ShardMap) NumEdges() int { return sm.numEdges }
 // LocalID translates a global node ID into shard's local ID space,
 // reporting whether the node is a member of that shard.
 func (sm *ShardMap) LocalID(shard int, global NodeID) (NodeID, bool) {
-	l, ok := sm.shards[shard].g2l[global]
-	return l, ok
+	g2l := sm.shards[shard].g2l
+	if global < 0 || int(global) >= len(g2l) || g2l[global] < 0 {
+		return 0, false
+	}
+	return g2l[global], true
 }
 
 // ShardSize returns shard's current member count (== its local node
@@ -168,18 +189,33 @@ func (sm *ShardMap) ShardSize(shard int) int { return int(sm.shards[shard].count
 // Members returns shard's member set as ascending global IDs.
 func (sm *ShardMap) Members(shard int) []NodeID {
 	sv := sm.shards[shard]
-	out := make([]NodeID, 0, len(sv.g2l))
-	for v := range sv.g2l {
-		out = append(out, v)
+	out := make([]NodeID, 0, sv.count)
+	for v, l := range sv.g2l {
+		if l >= 0 {
+			out = append(out, NodeID(v))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// hasEdge reports adjacency in the current global state.
+// name returns node v's name, "" when it has none.
+func (sm *ShardMap) name(v NodeID) string {
+	if sm.names == nil {
+		return ""
+	}
+	return sm.names[v]
+}
+
+// hasEdge reports adjacency in the current global state. Base adjacency
+// is searched by base's labels, which batches never change: a relabel
+// moves the node's label in sm.labels only.
 func (sm *ShardMap) hasEdge(u, v NodeID) bool {
-	_, ok := sm.adj[u][v]
-	return ok
+	if c := sm.cow[u]; c > 0 {
+		_, found := slices.BinarySearch(sm.adj[c-1], v)
+		return found
+	}
+	n := NodeID(sm.base.NumNodes())
+	return u < n && v < n && sm.base.HasEdge(u, v)
 }
 
 // sortedNeighbors returns v's neighbours ascending. Halo repair MUST
@@ -188,13 +224,46 @@ func (sm *ShardMap) hasEdge(u, v NodeID) bool {
 // its sequencer log regenerates every sub-batch from scratch — if the
 // regenerated pull order differed from the original, the replayed
 // local IDs would disagree with what live replicas already applied.
+// The result aliases map state (a copy-on-write list, or a buffer the
+// next call reuses), so callers finish with it before the next call or
+// any edge change.
 func (sm *ShardMap) sortedNeighbors(v NodeID) []NodeID {
-	out := make([]NodeID, 0, len(sm.adj[v]))
-	for w := range sm.adj[v] {
-		out = append(out, w)
+	if c := sm.cow[v]; c > 0 {
+		return sm.adj[c-1]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	if int(v) >= sm.base.NumNodes() {
+		return nil
+	}
+	sm.sorted = append(sm.sorted[:0], sm.base.Neighbors(v)...)
+	slices.Sort(sm.sorted)
+	return sm.sorted
+}
+
+// setEdge adds (present) or removes u's adjacency entry for v, giving u
+// its copy-on-write list first if it still reads base. It reports
+// whether u's list was created by this call.
+func (sm *ShardMap) setEdge(u, v NodeID, present bool) bool {
+	created := false
+	if sm.cow[u] == 0 {
+		var list []NodeID
+		if int(u) < sm.base.NumNodes() {
+			list = append(make([]NodeID, 0, sm.base.Degree(u)+1), sm.base.Neighbors(u)...)
+			slices.Sort(list)
+		}
+		sm.adj = append(sm.adj, list)
+		sm.cow[u] = int32(len(sm.adj))
+		created = true
+	}
+	list := sm.adj[sm.cow[u]-1]
+	i, found := slices.BinarySearch(list, v)
+	switch {
+	case present && !found:
+		list = slices.Insert(list, i, v)
+	case !present && found:
+		list = slices.Delete(list, i, i+1)
+	}
+	sm.adj[sm.cow[u]-1] = list
+	return created
 }
 
 // Validate checks one batch against the current global state without
@@ -216,7 +285,7 @@ func (sm *ShardMap) Validate(muts []Mutation) error {
 		if _, ok := removed[k]; ok {
 			return false
 		}
-		if int(u) >= len(sm.adj) || int(v) >= len(sm.adj) {
+		if int(u) >= len(sm.labels) || int(v) >= len(sm.labels) {
 			return false
 		}
 		return sm.hasEdge(u, v)
@@ -275,31 +344,33 @@ func (sm *ShardMap) Validate(muts []Mutation) error {
 // rollback restores exactly the pre-batch state no matter how many
 // times the batch revisits the same key (add-then-remove of one edge,
 // repeated relaxation of one node). Node additions are journaled by
-// the pre-batch node count alone: new nodes occupy the tail of
-// labels/names/adj, so truncation removes them wholesale.
+// the pre-batch node count alone: new nodes occupy the tail of every
+// per-node array, so truncation removes them wholesale. Copy-on-write
+// lists created by the batch sit past the pre-batch adj length, so
+// their owners go back to reading base.
 type smUndo struct {
 	numNodes int
 	numEdges int
+	numAdj   int
+	noNames  bool
+	cowed    []NodeID           // pre-batch nodes whose list the batch created
 	edges    map[[2]NodeID]bool // original presence
 	labels   map[NodeID]Label   // original label
 	shards   []*shardUndo       // nil for untouched shards
 }
 
 type shardUndo struct {
-	count  NodeID   // pre-batch local-ID count
-	pulled []NodeID // nodes admitted this batch (g2l entries to drop)
-	dist   map[NodeID]distPrior
-}
-
-type distPrior struct {
-	d   int32
-	had bool
+	count  NodeID           // pre-batch local-ID count
+	pulled []NodeID         // nodes admitted this batch (g2l entries to drop)
+	dist   map[NodeID]int32 // original distance, -1 for non-members
 }
 
 func newSMUndo(sm *ShardMap) *smUndo {
 	return &smUndo{
 		numNodes: len(sm.labels),
 		numEdges: sm.numEdges,
+		numAdj:   len(sm.adj),
+		noNames:  sm.names == nil,
 		edges:    make(map[[2]NodeID]bool),
 		labels:   make(map[NodeID]Label),
 		shards:   make([]*shardUndo, sm.numShards),
@@ -308,7 +379,7 @@ func newSMUndo(sm *ShardMap) *smUndo {
 
 func (u *smUndo) shardState(sm *ShardMap, s int) *shardUndo {
 	if u.shards[s] == nil {
-		u.shards[s] = &shardUndo{count: sm.shards[s].count, dist: make(map[NodeID]distPrior)}
+		u.shards[s] = &shardUndo{count: sm.shards[s].count, dist: make(map[NodeID]int32)}
 	}
 	return u.shards[s]
 }
@@ -328,58 +399,65 @@ func (u *smUndo) touchLabel(sm *ShardMap, v NodeID) {
 
 func (su *shardUndo) touchDist(sv *shardMembers, v NodeID) {
 	if _, ok := su.dist[v]; !ok {
-		d, had := sv.dist[v]
-		su.dist[v] = distPrior{d: d, had: had}
+		su.dist[v] = sv.dist[v]
 	}
 }
 
-// rollback restores the pre-batch state recorded in u. Edge presence is
-// restored before the node-tail truncation so that adjacency entries an
-// old node gained toward a batch-added node are deleted while both maps
-// still exist.
+// setEdge records a first-created copy-on-write list of a pre-batch
+// node so rollback can drop it.
+func (u *smUndo) setEdge(sm *ShardMap, a, b NodeID, present bool) {
+	if sm.setEdge(a, b, present) && int(a) < u.numNodes {
+		u.cowed = append(u.cowed, a)
+	}
+}
+
+// rollback restores the pre-batch state recorded in u. Lists the batch
+// created are dropped wholesale; edge presence is restored only in
+// lists that predate the batch, and only for pre-batch nodes.
 func (sm *ShardMap) rollback(u *smUndo) {
+	for _, v := range u.cowed {
+		sm.cow[v] = 0
+	}
 	for k, present := range u.edges {
-		a, b := k[0], k[1]
-		if present {
-			sm.adj[a][b] = struct{}{}
-			sm.adj[b][a] = struct{}{}
-		} else {
-			if int(a) < len(sm.adj) {
-				delete(sm.adj[a], b)
-			}
-			if int(b) < len(sm.adj) {
-				delete(sm.adj[b], a)
+		for _, e := range [2][2]NodeID{{k[0], k[1]}, {k[1], k[0]}} {
+			if int(e[0]) < u.numNodes && sm.cow[e[0]] > 0 && int(sm.cow[e[0]]) <= u.numAdj {
+				sm.setEdge(e[0], e[1], present)
 			}
 		}
 	}
-	for i := u.numNodes; i < len(sm.adj); i++ {
-		sm.adj[i] = nil
-	}
+	clear(sm.adj[u.numAdj:])
+	sm.adj = sm.adj[:u.numAdj]
+	sm.cow = sm.cow[:u.numNodes]
 	sm.labels = sm.labels[:u.numNodes]
-	sm.names = sm.names[:u.numNodes]
-	sm.adj = sm.adj[:u.numNodes]
+	if u.noNames {
+		sm.names = nil
+	} else {
+		sm.names = sm.names[:u.numNodes]
+	}
 	sm.numEdges = u.numEdges
 	for v, l := range u.labels {
 		if int(v) < u.numNodes {
 			sm.labels[v] = l
 		}
 	}
-	for s, su := range u.shards {
+	for s, sv := range sm.shards {
+		sv.dist = sv.dist[:u.numNodes]
+		sv.g2l = sv.g2l[:u.numNodes]
+		su := u.shards[s]
 		if su == nil {
 			continue
 		}
-		sv := sm.shards[s]
-		for _, v := range su.pulled {
-			delete(sv.g2l, v)
-		}
-		sv.count = su.count
-		for v, p := range su.dist {
-			if p.had {
-				sv.dist[v] = p.d
-			} else {
-				delete(sv.dist, v)
+		for v, d := range su.dist {
+			if int(v) < u.numNodes {
+				sv.dist[v] = d
 			}
 		}
+		for _, v := range su.pulled {
+			if int(v) < u.numNodes {
+				sv.g2l[v] = -1
+			}
+		}
+		sv.count = su.count
 	}
 }
 
@@ -437,8 +515,17 @@ func (sm *ShardMap) ApplyStaged(muts []Mutation) ([]ShardDelta, func(), error) {
 			l, _ := sm.alphabet.Lookup(m.Label)
 			gid := NodeID(len(sm.labels))
 			sm.labels = append(sm.labels, l)
-			sm.names = append(sm.names, m.Name)
-			sm.adj = append(sm.adj, make(map[NodeID]struct{}))
+			if m.Name != "" && sm.names == nil {
+				sm.names = make([]string, gid, gid+1)
+			}
+			if sm.names != nil {
+				sm.names = append(sm.names, m.Name)
+			}
+			sm.cow = append(sm.cow, 0)
+			for _, sv := range sm.shards {
+				sv.dist = append(sv.dist, -1)
+				sv.g2l = append(sv.g2l, -1)
+			}
 			// A fresh node has no edges, so it enters exactly one
 			// universe: its owner's, as an owned root at distance 0.
 			owner := RootShard(gid, sm.numShards)
@@ -455,29 +542,27 @@ func (sm *ShardMap) ApplyStaged(muts []Mutation) ([]ShardDelta, func(), error) {
 
 		case OpAddEdge:
 			undo.touchEdge(sm, m.U, m.V)
-			sm.adj[m.U][m.V] = struct{}{}
-			sm.adj[m.V][m.U] = struct{}{}
+			undo.setEdge(sm, m.U, m.V, true)
+			undo.setEdge(sm, m.V, m.U, true)
 			sm.numEdges++
 			for s := 0; s < sm.numShards; s++ {
 				sv := sm.shards[s]
-				du, uIn := sv.dist[m.U]
-				dv, vIn := sv.dist[m.V]
-				if !uIn && !vIn {
+				du, dv := sv.dist[m.U], sv.dist[m.V]
+				if du < 0 && dv < 0 {
 					continue
 				}
 				a := acc(s)
 				// The new edge may shorten distances through either
 				// endpoint; relax both directions to the halo bound,
 				// pulling (and shipping) any node that newly qualifies.
-				if uIn {
+				if du >= 0 {
 					sm.relax(s, a, undo, m.V, du+1)
 				}
-				if vIn {
+				if dv >= 0 {
 					sm.relax(s, a, undo, m.U, dv+1)
 				}
-				lu, uIn := sv.g2l[m.U]
-				lv, vIn := sv.g2l[m.V]
-				if uIn && vIn {
+				lu, lv := sv.g2l[m.U], sv.g2l[m.V]
+				if lu >= 0 && lv >= 0 {
 					k := edgeKey(m.U, m.V)
 					if _, done := a.emitted[k]; !done {
 						a.emitted[k] = struct{}{}
@@ -488,17 +573,16 @@ func (sm *ShardMap) ApplyStaged(muts []Mutation) ([]ShardDelta, func(), error) {
 
 		case OpRemoveEdge:
 			undo.touchEdge(sm, m.U, m.V)
-			delete(sm.adj[m.U], m.V)
-			delete(sm.adj[m.V], m.U)
+			undo.setEdge(sm, m.U, m.V, false)
+			undo.setEdge(sm, m.V, m.U, false)
 			sm.numEdges--
 			// Membership never shrinks (see the type comment); the removal
 			// ships to every shard holding both endpoints — which, by the
 			// induced-subgraph invariant, is every shard holding the edge.
 			for s := 0; s < sm.numShards; s++ {
 				sv := sm.shards[s]
-				lu, uIn := sv.g2l[m.U]
-				lv, vIn := sv.g2l[m.V]
-				if uIn && vIn {
+				lu, lv := sv.g2l[m.U], sv.g2l[m.V]
+				if lu >= 0 && lv >= 0 {
 					a := acc(s)
 					delete(a.emitted, edgeKey(m.U, m.V))
 					a.muts = append(a.muts, Mutation{Op: OpRemoveEdge, U: lu, V: lv})
@@ -510,7 +594,7 @@ func (sm *ShardMap) ApplyStaged(muts []Mutation) ([]ShardDelta, func(), error) {
 			undo.touchLabel(sm, m.U)
 			sm.labels[m.U] = l
 			for s := 0; s < sm.numShards; s++ {
-				if lu, ok := sm.shards[s].g2l[m.U]; ok {
+				if lu := sm.shards[s].g2l[m.U]; lu >= 0 {
 					a := acc(s)
 					a.muts = append(a.muts, Mutation{Op: OpRelabel, U: lu, Label: m.Label})
 				}
@@ -547,18 +631,18 @@ func (sm *ShardMap) relax(s int, a *deltaAcc, undo *smUndo, seed NodeID, d int32
 	for len(queue) > 0 {
 		c := queue[0]
 		queue = queue[1:]
-		cur, member := sv.dist[c.node]
-		if member && cur <= c.d {
+		cur := sv.dist[c.node]
+		if cur >= 0 && cur <= c.d {
 			continue
 		}
-		if !member {
+		if cur < 0 {
 			sm.pull(s, sv, a, su, c.node)
 		}
 		su.touchDist(sv, c.node)
 		sv.dist[c.node] = c.d
 		if nd := c.d + 1; int(nd) <= sm.haloDepth {
 			for _, x := range sm.sortedNeighbors(c.node) {
-				if xd, ok := sv.dist[x]; !ok || xd > nd {
+				if xd := sv.dist[x]; xd < 0 || xd > nd {
 					queue = append(queue, cand{x, nd})
 				}
 			}
@@ -578,11 +662,11 @@ func (sm *ShardMap) pull(s int, sv *shardMembers, a *deltaAcc, su *shardUndo, v 
 	a.muts = append(a.muts, Mutation{
 		Op:    OpAddNode,
 		Label: sm.alphabet.Name(sm.labels[v]),
-		Name:  sm.names[v],
+		Name:  sm.name(v),
 	})
 	for _, x := range sm.sortedNeighbors(v) {
-		lx, ok := sv.g2l[x]
-		if !ok {
+		lx := sv.g2l[x]
+		if lx < 0 {
 			continue
 		}
 		k := edgeKey(v, x)

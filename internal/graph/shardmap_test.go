@@ -355,7 +355,7 @@ func shardMapFingerprint(sm *ShardMap) string {
 	var b []byte
 	b = append(b, fmt.Sprintf("n=%d e=%d\n", len(sm.labels), sm.numEdges)...)
 	for v := 0; v < len(sm.labels); v++ {
-		b = append(b, fmt.Sprintf("v%d l%d %q adj%v\n", v, sm.labels[v], sm.names[v], sm.sortedNeighbors(NodeID(v)))...)
+		b = append(b, fmt.Sprintf("v%d l%d %q adj%v\n", v, sm.labels[v], sm.name(NodeID(v)), sm.sortedNeighbors(NodeID(v)))...)
 	}
 	for s, sv := range sm.shards {
 		b = append(b, fmt.Sprintf("shard %d count %d\n", s, sv.count)...)

@@ -50,20 +50,21 @@ type ingestState struct {
 }
 
 // snapshotSections frames the ingest state through core's artifact
-// framing as [meta, ingestmeta, graph]. The graphbin codec has no
-// edge-type section, so a typed graph is refused (graph.ErrEdgeTyped).
+// framing as [meta, ingestmeta, graph], the graph streamed into the
+// file when the store writes it (unaligned: the loader decodes it to
+// the heap). The graphbin codec has no edge-type section, so a typed
+// graph is refused (graph.ErrEdgeTyped).
 func snapshotSections(st *ingestState) ([]store.Section, error) {
 	watermark, err := json.Marshal(st.meta)
 	if err != nil {
 		return nil, err
 	}
-	gbin, err := graph.EncodeBinary(st.g, 0)
+	gsec, err := core.GraphSection("graph", st.g, 0)
 	if err != nil {
 		return nil, err
 	}
 	return core.ArtifactSections(ArtifactIngest, ingestSchema,
-		store.Section{Name: "ingestmeta", Payload: watermark},
-		store.Section{Name: "graph", Payload: gbin})
+		store.Section{Name: "ingestmeta", Payload: watermark}, gsec)
 }
 
 // parseSnapshot decodes and structurally validates an ingest envelope

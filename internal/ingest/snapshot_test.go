@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"errors"
@@ -255,6 +256,13 @@ func FuzzParseIngestSnapshot(f *testing.F) {
 		var p [4][]byte
 		for i, sec := range sections {
 			p[i] = sec.Payload
+			if sec.Stream != nil {
+				var buf bytes.Buffer
+				if err := sec.Stream(&buf); err != nil {
+					f.Fatal(err)
+				}
+				p[i] = buf.Bytes()
+			}
 		}
 		f.Add(p[0], p[1], p[2], p[3], len(sections) == 4)
 	}

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"regexp"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -174,24 +175,40 @@ func TestCachedResponseByteIdentical(t *testing.T) {
 
 // TestNondeterministicRowsNeverCached: a row flagged by a per-root
 // deadline depends on scheduling, so serving it twice must recompute it
-// rather than replay the first truncation.
+// rather than replay the first truncation. The census checks its
+// deadline only at poll points every 1024 candidate steps, so the root
+// must outlast the first of them: at emax 4 without leaf batching (one
+// step or more per subgraph), root 0 of the 30-node test graph has
+// thousands of subgraphs. Stalling the root's start past the 1 ms
+// deadline then makes the first poll flag it, every run.
 func TestNondeterministicRowsNeverCached(t *testing.T) {
-	s, ex := newTestServer(t, Config{})
-	block := make(chan struct{})
+	ex, err := core.NewExtractor(testGraph(t, 30), core.Options{MaxEdges: 4, DisableLeafBatching: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ex.Census(0).Subgraphs; n < 4096 {
+		t.Fatalf("root 0 has %d subgraphs; the census may finish before its first deadline poll", n)
+	}
+	s := NewServer(ex, Config{})
 	var once sync.Once
-	ex.SetFaultHooks(&core.FaultHooks{OnStep: func(root graph.NodeID, step uint64) {
-		once.Do(func() { <-block })
+	ex.SetFaultHooks(&core.FaultHooks{OnRootStart: func(root graph.NodeID) {
+		once.Do(func() { time.Sleep(20 * time.Millisecond) })
 	}})
 	defer ex.SetFaultHooks(nil)
 
+	const body = `{"roots":[0],"root_deadline_ms":1}`
 	var resp FeaturesResponse
-	go func() { time.Sleep(50 * time.Millisecond); close(block) }()
-	doJSON(t, s, http.MethodPost, "/v1/features", `{"roots":[0],"root_deadline_ms":1}`, &resp)
-	if !resp.Degraded {
-		t.Skip("root finished inside the deadline despite the stall; nothing to assert")
+	doJSON(t, s, http.MethodPost, "/v1/features", body, &resp)
+	if !resp.Degraded || len(resp.Rows) != 1 || !strings.Contains(resp.Rows[0].Flags, "deadline") {
+		t.Fatalf("root stalled past its deadline was not flagged: degraded %v, rows %+v", resp.Degraded, resp.Rows)
 	}
 	if got, _ := s.cache.usage(); got != 0 {
 		t.Fatalf("deadline-truncated row was cached (%d entries)", got)
+	}
+	hits := s.cache.hits.Load()
+	doJSON(t, s, http.MethodPost, "/v1/features", body, nil)
+	if s.cache.hits.Load() != hits {
+		t.Fatal("second request hit the cache: the truncated row was replayed")
 	}
 }
 

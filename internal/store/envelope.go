@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
 // Typed failure classes. Every decode error wraps exactly one of these,
@@ -72,11 +73,26 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Section is one named payload inside an envelope. Names identify the
-// payload codec to the artifact layer (e.g. "meta", "featureset"); the
+// payload codec to the artifact layer (e.g. "meta", "graphbin"); the
 // envelope itself treats payloads as opaque bytes.
+//
+// A section being written carries its payload one of two ways: as
+// Payload bytes, or as Stream, which writes exactly Size bytes — a
+// payload encoded straight into the file, never held in memory whole.
+// Parsed sections always carry Payload.
 type Section struct {
 	Name    string
 	Payload []byte
+	Size    int
+	Stream  func(w io.Writer) error
+}
+
+// payloadLen returns the section's payload length in bytes.
+func (s Section) payloadLen() int {
+	if s.Stream != nil {
+		return s.Size
+	}
+	return len(s.Payload)
 }
 
 // Envelope is a parsed artifact container: the format version it was
@@ -96,7 +112,7 @@ func (e *Envelope) Section(name string) ([]byte, bool) {
 	return nil, false
 }
 
-// EncodeEnvelope frames sections into the canonical on-disk form:
+// The canonical on-disk form of an envelope:
 //
 //	"HSGFSNAP" | version u32 | count u32
 //	per section: nameLen u32 | name | payloadLen u64 | payload | CRC32C u32
@@ -105,12 +121,120 @@ func (e *Envelope) Section(name string) ([]byte, bool) {
 // All integers are little-endian. The encoding is canonical — parsing
 // and re-encoding an accepted envelope reproduces the input bytes —
 // which the fuzz harness relies on.
-func EncodeEnvelope(sections []Section) ([]byte, error) {
+
+// checkSections refuses a section list no envelope can hold, before a
+// byte is written.
+func checkSections(sections []Section) error {
 	if len(sections) == 0 {
-		return nil, fmt.Errorf("store: envelope needs at least one section")
+		return fmt.Errorf("store: envelope needs at least one section")
 	}
 	if len(sections) > maxSections {
-		return nil, fmt.Errorf("store: %d sections exceeds the limit of %d", len(sections), maxSections)
+		return fmt.Errorf("store: %d sections exceeds the limit of %d", len(sections), maxSections)
+	}
+	for _, s := range sections {
+		if s.Name == "" || len(s.Name) > maxSectionName {
+			return fmt.Errorf("store: section name %q must be 1-%d bytes", s.Name, maxSectionName)
+		}
+		if s.Stream != nil && (s.Payload != nil || s.Size < 0) {
+			return fmt.Errorf("store: section %q: a Stream needs a Size >= 0 and no Payload", s.Name)
+		}
+	}
+	return nil
+}
+
+// writeEnvelope writes sections to w in the canonical form, section by
+// section: a Stream section is encoded straight into w through a
+// running CRC32C, and the manifest SHA-256 runs over everything as it
+// passes. A section that writes other than its declared Size fails the
+// write (with a short one, after its last byte reached w).
+func writeEnvelope(w io.Writer, sections []Section) error {
+	if err := checkSections(sections); err != nil {
+		return err
+	}
+	sum := sha256.New()
+	hw := io.MultiWriter(w, sum)
+	var hdr [8]byte
+	le := binary.LittleEndian
+	if _, err := io.WriteString(hw, headerMagic); err != nil {
+		return err
+	}
+	le.PutUint32(hdr[:], FormatVersion)
+	le.PutUint32(hdr[4:], uint32(len(sections)))
+	if _, err := hw.Write(hdr[:]); err != nil {
+		return err
+	}
+	for _, s := range sections {
+		le.PutUint32(hdr[:], uint32(len(s.Name)))
+		if _, err := hw.Write(hdr[:4]); err != nil {
+			return err
+		}
+		if _, err := io.WriteString(hw, s.Name); err != nil {
+			return err
+		}
+		le.PutUint64(hdr[:], uint64(s.payloadLen()))
+		if _, err := hw.Write(hdr[:]); err != nil {
+			return err
+		}
+		sw := &sectionWriter{w: hw, left: s.payloadLen()}
+		var err error
+		if s.Stream != nil {
+			err = s.Stream(sw)
+		} else {
+			_, err = sw.Write(s.Payload)
+		}
+		if err == nil {
+			err = sw.err
+		}
+		if err != nil {
+			return fmt.Errorf("store: section %q: %w", s.Name, err)
+		}
+		if sw.left != 0 {
+			return fmt.Errorf("store: section %q wrote %d of its %d bytes", s.Name, s.payloadLen()-sw.left, s.payloadLen())
+		}
+		le.PutUint32(hdr[:], sw.crc)
+		if _, err := hw.Write(hdr[:4]); err != nil {
+			return err
+		}
+	}
+	if _, err := w.Write(sum.Sum(nil)); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, footerMagic)
+	return err
+}
+
+// sectionWriter passes one section's payload on to the envelope,
+// keeping its CRC32C and refusing bytes past its declared size. Its
+// first error sticks, so a Stream that ignores one still fails.
+type sectionWriter struct {
+	w    io.Writer
+	left int
+	crc  uint32
+	err  error
+}
+
+func (sw *sectionWriter) Write(p []byte) (int, error) {
+	if sw.err != nil {
+		return 0, sw.err
+	}
+	if len(p) > sw.left {
+		sw.err = fmt.Errorf("writes past its declared size (%d bytes left, %d offered)", sw.left, len(p))
+		return 0, sw.err
+	}
+	n, err := sw.w.Write(p)
+	sw.crc = crc32.Update(sw.crc, crcTable, p[:n])
+	sw.left -= n
+	sw.err = err
+	return n, err
+}
+
+// EncodeEnvelope returns the canonical envelope of sections as one
+// buffer, built apart from the streaming writer: tests and fuzzers use
+// it as the reference the files Store.Write and WriteFile stream must
+// equal, and to frame hostile input. It takes Payload sections only.
+func EncodeEnvelope(sections []Section) ([]byte, error) {
+	if err := checkSections(sections); err != nil {
+		return nil, err
 	}
 	var buf bytes.Buffer
 	buf.WriteString(headerMagic)
@@ -121,8 +245,8 @@ func EncodeEnvelope(sections []Section) ([]byte, error) {
 	binary.LittleEndian.PutUint32(u32[:], uint32(len(sections)))
 	buf.Write(u32[:])
 	for _, s := range sections {
-		if s.Name == "" || len(s.Name) > maxSectionName {
-			return nil, fmt.Errorf("store: section name %q must be 1-%d bytes", s.Name, maxSectionName)
+		if s.Stream != nil {
+			return nil, fmt.Errorf("store: EncodeEnvelope: section %q streams", s.Name)
 		}
 		binary.LittleEndian.PutUint32(u32[:], uint32(len(s.Name)))
 		buf.Write(u32[:])

@@ -102,15 +102,15 @@ func (s *Store) LoadLatestMapped(kind string, verify func(*Envelope) error) (*Ma
 }
 
 // PayloadOffset returns the file offset at which section i's payload
-// starts inside the envelope EncodeEnvelope would produce for sections.
-// Encoders that align data relative to the final file (the binary graph
-// codec) call this before encoding their payload; the framing layout is
-// part of the format contract, so the arithmetic here must track
-// EncodeEnvelope exactly.
+// starts inside the envelope of sections. Only the sections before i
+// and section i's name count, so an encoder that aligns data relative
+// to the final file (the binary graph codec) calls this before its
+// payload exists; the framing layout is part of the format contract,
+// so the arithmetic here must track writeEnvelope exactly.
 func PayloadOffset(sections []Section, i int) int {
 	off := headerLen
 	for j := 0; j < i; j++ {
-		off += 4 + len(sections[j].Name) + 8 + len(sections[j].Payload) + 4
+		off += 4 + len(sections[j].Name) + 8 + sections[j].payloadLen() + 4
 	}
 	return off + 4 + len(sections[i].Name) + 8
 }

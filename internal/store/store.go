@@ -1,14 +1,17 @@
 package store
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // DefaultRetain is the number of good generations kept per artifact
@@ -45,6 +48,8 @@ type Store struct {
 	dir    string
 	retain int
 	logf   func(format string, args ...any)
+
+	mu sync.Mutex // serialises Write's scan, rename and prune
 }
 
 // Open creates (if needed) and returns the store rooted at dir.
@@ -72,16 +77,17 @@ func (s *Store) Path(kind string, gen uint64) string {
 }
 
 // Write persists sections as the next generation of kind and prunes
-// generations beyond the retention bound. The returned generation is
-// durable (file and directory fsynced) when Write returns nil.
+// generations beyond the retention bound. Writes to one Store are
+// serialised from the scan that picks the generation number to the
+// prune after the rename, so concurrent writers get distinct
+// generations. The returned generation is durable (file and directory
+// fsynced) when Write returns nil.
 func (s *Store) Write(kind string, sections []Section) (uint64, error) {
 	if !kindRE.MatchString(kind) {
 		return 0, fmt.Errorf("store: invalid artifact kind %q", kind)
 	}
-	data, err := EncodeEnvelope(sections)
-	if err != nil {
-		return 0, err
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	gens, err := s.scan(kind)
 	if err != nil {
 		return 0, err
@@ -90,7 +96,7 @@ func (s *Store) Write(kind string, sections []Section) (uint64, error) {
 	if n := len(gens); n > 0 {
 		gen = gens[n-1].gen + 1
 	}
-	if err := AtomicWriteBytes(s.Path(kind, gen), data); err != nil {
+	if err := WriteFile(s.Path(kind, gen), sections); err != nil {
 		return 0, err
 	}
 	s.prune(kind, gens)
@@ -255,14 +261,31 @@ func ReadFile(path string) (*Envelope, error) {
 
 // WriteFile atomically writes one standalone snapshot file (no
 // generation rotation) — the durability primitive for single-file
-// artifacts like census checkpoints.
+// artifacts like census checkpoints, and the write under Store.Write.
+// The envelope streams into the temp file section by section through
+// one buffer of writeBuffer bytes, so a Stream section is never held
+// in memory whole; a section that fails or writes other than its
+// declared size leaves no file behind.
 func WriteFile(path string, sections []Section) error {
-	data, err := EncodeEnvelope(sections)
-	if err != nil {
+	return AtomicWrite(path, func(f *os.File) error {
+		return encodeTo(f, sections)
+	})
+}
+
+// encodeTo writes the envelope of sections to w through the write
+// buffer: exactly the bytes WriteFile puts in its temp file.
+func encodeTo(w io.Writer, sections []Section) error {
+	bw := bufio.NewWriterSize(w, writeBuffer)
+	if err := writeEnvelope(bw, sections); err != nil {
 		return err
 	}
-	return AtomicWriteBytes(path, data)
+	return bw.Flush()
 }
+
+// writeBuffer sizes WriteFile's write buffer: large enough that the
+// envelope's small framing writes cost one syscall per buffer, not
+// one each. Payload writes larger than it go to the file directly.
+const writeBuffer = 64 << 10
 
 // VerifyFile reports whether path holds an intact envelope.
 func VerifyFile(path string) error {
