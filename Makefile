@@ -48,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzParseIngestSnapshot -fuzztime=$(FUZZTIME) ./internal/ingest
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeMutations -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeGraphBinary -fuzztime=$(FUZZTIME) ./internal/graph
+	$(GO) test -run=Fuzz -fuzz=FuzzOverlayCheck -fuzztime=$(FUZZTIME) ./internal/graph
 	$(GO) test -run=Fuzz -fuzz=FuzzWalkShardDeterminism -fuzztime=$(FUZZTIME) ./internal/embed
 	$(GO) test -run=Fuzz -fuzz=FuzzScanShardReply -fuzztime=$(FUZZTIME) ./internal/router
 	$(GO) test -run=Fuzz -fuzz=FuzzLoadManifest -fuzztime=$(FUZZTIME) ./internal/router
@@ -130,10 +131,10 @@ bench-smoke:
 # Tracked scale ladder (cmd/bench): hierarchical graphs at
 # 10^4/10^5/10^6 nodes, measuring build time, binary-vs-TSV snapshot
 # encode/decode, bytes per edge, the store write's time and allocation,
-# the router's ShardMap build time and heap, the largest shard's node
-# and edge share, census throughput, serve p50/p99, and peak RSS per
-# rung into BENCH_scale.json. Diff it across changes to
-# track how the system scales.
+# the build time and heap of the router's overlay (its write-side
+# graph), census throughput, serve p50/p99, and peak RSS per rung into
+# BENCH_scale.json. Diff it across changes to track how the system
+# scales.
 bench-scale:
 	$(GO) run ./cmd/bench scale
 

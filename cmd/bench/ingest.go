@@ -65,7 +65,7 @@ type ingestReport struct {
 	WALBytes    int64  `json:"wal_bytes"`
 
 	// Fleet is the same durable path through the full sequenced fan-out:
-	// router sequencer WAL fsync, per-shard sub-batch fan-out, and every
+	// router sequencer WAL fsync, the fan-out of each batch to every shard, and every
 	// replica's own WAL fsync + graph rebuild before the ack.
 	Fleet *fleetReport `json:"fleet"`
 }
@@ -119,7 +119,7 @@ func nextBatch(rng *rand.Rand, g *graph.Graph, added map[[2]graph.NodeID]bool, k
 // through POST /v1/ingest, measuring what a client sees: durable, fully
 // fan-out-confirmed acks.
 func runFleetIngest(dir string, g *graph.Graph, opts core.Options, nShards, batches int) (*fleetReport, error) {
-	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: nShards, HaloDepth: opts.MaxEdges})
+	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: nShards})
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +157,7 @@ func runFleetIngest(dir string, g *graph.Graph, opts core.Options, nShards, batc
 		urls[p.Shard] = []string{ts.URL}
 	}
 	rt, err := router.New(router.Config{
-		Manifest:    router.BuildManifest(g.NumNodes(), opts.MaxEdges, plans),
+		Manifest:    router.BuildManifest(g.NumNodes(), 0, plans),
 		Shards:      urls,
 		SeqLogPath:  filepath.Join(dir, "seq.wal"),
 		IngestGraph: g,

@@ -5,23 +5,20 @@ package main
 // through both snapshot formats, and measures what production cares
 // about at that scale — build time, snapshot encode/decode time for
 // binary vs TSV, bytes per edge, the store write's time and allocation,
-// the router's manifest load and write-side graph, how much of the
-// graph a shard copies, census throughput, serve-path p50/p99, and
-// peak RSS — one JSON object per rung.
+// the router's write-side graph, census throughput, serve-path p50/p99,
+// and peak RSS — one JSON object per rung.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
 	"hsgf/internal/core"
 	"hsgf/internal/datagen"
 	"hsgf/internal/graph"
-	"hsgf/internal/router"
 	"hsgf/internal/serve"
 	"hsgf/internal/store"
 	"hsgf/internal/sysres"
@@ -73,25 +70,12 @@ type rung struct {
 	StoreLoadSeconds float64 `json:"store_load_seconds"`
 	Mmapped          bool    `json:"mmapped"`
 
-	// ManifestLoadSeconds is the router's boot read: LoadManifest of a
-	// 2-shard manifest in which each shard maps every node, the shape
-	// of a halo-4 partition of these graphs (each shard of a 10^5-node
-	// rung holds 99.8% of the nodes). Validation included.
-	ManifestLoadSeconds float64 `json:"manifest_load_seconds"`
-
-	// ShardMapBuildSeconds and ShardMapHeapBytes are the router's
-	// write-side graph (graph.NewShardMap over the mapped graph) for a
-	// 2-shard fleet at halo emax+1: its build time and the live heap it
-	// adds.
-	ShardMapBuildSeconds float64 `json:"shardmap_build_seconds"`
-	ShardMapHeapBytes    int64   `json:"shardmap_heap_bytes"`
-
-	// LargestShardNodeShare and LargestShardEdgeShare are the largest
-	// shard's nodes and edges over the whole graph's in that partition
-	// (PartitionByRoot's cut, which NewShardMap reproduces member for
-	// member): 1 means every shard is a copy of the whole graph.
-	LargestShardNodeShare float64 `json:"largest_shard_node_share"`
-	LargestShardEdgeShare float64 `json:"largest_shard_edge_share"`
+	// OverlayBuildSeconds and OverlayHeapBytes are the router's
+	// write-side graph, the graph.Overlay it checks fleet batches
+	// against, over the mapped graph: its build time and the live heap
+	// it adds before any batch.
+	OverlayBuildSeconds float64 `json:"overlay_build_seconds"`
+	OverlayHeapBytes    int64   `json:"overlay_heap_bytes"`
 
 	CensusRoots           int     `json:"census_roots"`
 	CensusRootsPerSec     float64 `json:"census_roots_per_sec"`
@@ -215,12 +199,7 @@ func runRung(n, censusRoots int, serveSeconds float64) (rung, error) {
 	}
 	r.StoreLoadSeconds = time.Since(t0).Seconds()
 
-	if r.ManifestLoadSeconds, err = manifestLoad(filepath.Join(dir, "manifest.json"), n); err != nil {
-		return r, err
-	}
-	if err := shardMapRung(&r, mg); err != nil {
-		return r, err
-	}
+	r.OverlayBuildSeconds, r.OverlayHeapBytes = overlayRung(mg)
 
 	// Census throughput and the serve path both run over the mapped
 	// graph — the ladder measures the deployment shape, not the
@@ -264,66 +243,21 @@ func runRung(n, censusRoots int, serveSeconds float64) (rung, error) {
 	return r, nil
 }
 
-// shardMapRung measures the router's write-side graph over g for a
-// 2-shard fleet at halo emax+1 — build time and the heap it holds once
-// built — and each shard's node and edge share, which says how much of
-// the graph a shard of that fleet copies.
-func shardMapRung(r *rung, g *graph.Graph) error {
-	const shards = 2
+// overlayRung measures the router's write-side graph over g: the time
+// to build it and the heap it holds once built.
+func overlayRung(g *graph.Graph) (seconds float64, heapBytes int64) {
 	var before, after runtime.MemStats
 	// Two collections: the first moves sync.Pool contents to the victim
-	// cache, the second frees them, so neither counts against the map.
+	// cache, the second frees them, so neither counts against the
+	// overlay.
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	t0 := time.Now()
-	sm, err := graph.NewShardMap(g, graph.PartitionConfig{NumShards: shards, HaloDepth: scaleEmax + 1})
-	if err != nil {
-		return err
-	}
-	r.ShardMapBuildSeconds = time.Since(t0).Seconds()
+	o := graph.NewOverlay(g)
+	seconds = time.Since(t0).Seconds()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	r.ShardMapHeapBytes = max(0, int64(after.HeapAlloc)-int64(before.HeapAlloc))
-	for s := 0; s < shards; s++ {
-		edges := 0
-		g.Edges(func(u, v graph.NodeID) bool {
-			_, uIn := sm.LocalID(s, u)
-			_, vIn := sm.LocalID(s, v)
-			if uIn && vIn {
-				edges++
-			}
-			return true
-		})
-		r.LargestShardNodeShare = max(r.LargestShardNodeShare, float64(sm.ShardSize(s))/float64(g.NumNodes()))
-		r.LargestShardEdgeShare = max(r.LargestShardEdgeShare, float64(edges)/float64(max(1, g.NumEdges())))
-	}
-	return nil
-}
-
-// manifestLoad writes a 2-shard manifest over n nodes in which each
-// shard maps every node at path, and times LoadManifest reading it
-// back. The plans are built directly: partitioning would only decide
-// which few nodes a shard's halo misses.
-func manifestLoad(path string, n int) (float64, error) {
-	const shards = 2
-	ids := make([]graph.NodeID, n)
-	owned := make([][]graph.NodeID, shards)
-	for v := range ids {
-		ids[v] = graph.NodeID(v)
-		s := graph.RootShard(ids[v], shards)
-		owned[s] = append(owned[s], ids[v])
-	}
-	plans := make([]*graph.ShardPlan, shards)
-	for s := range plans {
-		plans[s] = &graph.ShardPlan{Shard: s, OwnedRoots: owned[s], LocalToGlobal: ids}
-	}
-	if err := router.WriteManifest(path, router.BuildManifest(n, scaleEmax+1, plans)); err != nil {
-		return 0, err
-	}
-	t0 := time.Now()
-	if _, err := router.LoadManifest(path); err != nil {
-		return 0, err
-	}
-	return time.Since(t0).Seconds(), nil
+	runtime.KeepAlive(o)
+	return seconds, max(0, int64(after.HeapAlloc)-int64(before.HeapAlloc))
 }

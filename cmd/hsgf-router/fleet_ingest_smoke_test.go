@@ -207,21 +207,17 @@ func TestFleetIngestSmoke(t *testing.T) {
 	// Same hub-and-periphery shape as the router smoke, smaller.
 	g := buildSmokeGraphN(t, fiNodes, 43)
 
-	// Full-graph TSV (router's -ingest-graph and the oracle's seed) and
-	// one TSV per shard plan (each follower replica's seed).
+	// The full-graph TSV: the router's -ingest-graph, and the seed of
+	// every follower replica and of the oracle, since every shard serves
+	// the whole graph.
 	fullTSV := filepath.Join(tmp, "graph.tsv")
 	writeTSV(t, fullTSV, g)
-	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: fiShards, HaloDepth: fiEmax})
+	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: fiShards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardTSVs := make([]string, fiShards)
-	for _, p := range plans {
-		shardTSVs[p.Shard] = filepath.Join(tmp, fmt.Sprintf("shard-%d.tsv", p.Shard))
-		writeTSV(t, shardTSVs[p.Shard], p.Graph)
-	}
 	manifestPath := filepath.Join(tmp, "manifest.json")
-	if err := router.WriteManifest(manifestPath, router.BuildManifest(g.NumNodes(), fiEmax, plans)); err != nil {
+	if err := router.WriteManifest(manifestPath, router.BuildManifest(g.NumNodes(), 0, plans)); err != nil {
 		t.Fatal(err)
 	}
 	seqlogPath := filepath.Join(tmp, "seq.wal")
@@ -240,7 +236,7 @@ func TestFleetIngestSmoke(t *testing.T) {
 	daemonArgs := func(si, ri int, addr string) []string {
 		return []string{
 			"-store", filepath.Join(tmp, fmt.Sprintf("store-%d-%d", si, ri)),
-			"-in", shardTSVs[si],
+			"-in", fullTSV,
 			"-ingest", "-fleet-follower",
 			"-emax", fmt.Sprint(fiEmax),
 			"-addr", addr,

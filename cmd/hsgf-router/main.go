@@ -110,8 +110,6 @@ func main() {
 		seqLogPath  = flag.String("seqlog", "", "sequencer WAL path; with -ingest-graph, enables fleet ingest on POST /v1/ingest")
 		ingestGraph = flag.String("ingest-graph", "", "graph the fleet was partitioned from, as a TSV exchange file or a store graph snapshot (required with -seqlog)")
 		ackTimeout  = flag.Duration("ingest-ack-timeout", 10*time.Second, "max wait for full-fleet confirmation before 503 fleet_partial_apply")
-		maxSubMuts  = flag.Int("max-subbatch-mutations", 0, "per-shard sub-batch mutation cap after halo expansion (0 = followers' fleet default); must not exceed the followers' engine cap")
-		maxSubBytes = flag.Int("max-subbatch-bytes", 0, "per-shard sub-batch body byte cap (0 = followers' fleet default); must not exceed the followers' request bound")
 	)
 	flag.Var(shards, "shard", "replica URLs for one shard, as IDX=url[,url...]; repeat per shard")
 	flag.Parse()
@@ -186,16 +184,14 @@ func main() {
 			TripRatio: *brkRatio,
 			Cooldown:  *brkCooldown,
 		},
-		MaxRootsPerRequest:   *maxRoots,
-		ReloadTimeout:        *reloadTimeout,
-		DrainGrace:           *drainGrace,
-		SeqLogPath:           *seqLogPath,
-		IngestGraph:          g,
-		IngestAckTimeout:     *ackTimeout,
-		MaxSubBatchMutations: *maxSubMuts,
-		MaxSubBatchBytes:     *maxSubBytes,
-		SequenceHook:         seqHook,
-		Log:                  logger,
+		MaxRootsPerRequest: *maxRoots,
+		ReloadTimeout:      *reloadTimeout,
+		DrainGrace:         *drainGrace,
+		SeqLogPath:         *seqLogPath,
+		IngestGraph:        g,
+		IngestAckTimeout:   *ackTimeout,
+		SequenceHook:       seqHook,
+		Log:                logger,
 	})
 	if err != nil {
 		logger.Fatal(err)

@@ -99,32 +99,28 @@ func shutdownProc(t *testing.T, p *proc) {
 	}
 }
 
-// writeShardFleet partitions g and writes per-shard stores plus the
-// routing manifest under dir — the same library path `hsgf -partition`
-// drives.
-func writeShardFleet(t *testing.T, g *graph.Graph, dir string) (manifestPath string, storeDirs []string) {
+// writeShardFleet partitions g and writes the one store every replica
+// of every shard serves, plus the routing manifest, under dir — the same
+// library path `hsgf -partition` drives.
+func writeShardFleet(t *testing.T, g *graph.Graph, dir string) (manifestPath, storeDir string) {
 	t.Helper()
-	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: smokeShards, HaloDepth: smokeEmax})
+	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: smokeShards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range plans {
-		sd := filepath.Join(dir, fmt.Sprintf("shard-%03d", p.Shard))
-		st, err := hsgf.OpenStore(sd, hsgf.StoreOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := hsgf.SaveGraphSnapshot(st, p.Graph); err != nil {
-			t.Fatal(err)
-		}
-		storeDirs = append(storeDirs, sd)
-	}
-	m := router.BuildManifest(g.NumNodes(), smokeEmax, plans)
-	manifestPath = filepath.Join(dir, "manifest.json")
-	if err := router.WriteManifest(manifestPath, m); err != nil {
+	storeDir = filepath.Join(dir, "store")
+	st, err := hsgf.OpenStore(storeDir, hsgf.StoreOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return manifestPath, storeDirs
+	if _, err := hsgf.SaveGraphSnapshot(st, g); err != nil {
+		t.Fatal(err)
+	}
+	manifestPath = filepath.Join(dir, "manifest.json")
+	if err := router.WriteManifest(manifestPath, router.BuildManifest(g.NumNodes(), 0, plans)); err != nil {
+		t.Fatal(err)
+	}
+	return manifestPath, storeDir
 }
 
 // proc is one child process with its scraped listen address and log tail.
@@ -200,7 +196,7 @@ func startProcEnv(t *testing.T, name, bin string, env []string, args ...string) 
 func TestRouterSmoke(t *testing.T) {
 	tmp := t.TempDir()
 	g := buildSmokeGraph(t)
-	manifestPath, storeDirs := writeShardFleet(t, g, tmp)
+	manifestPath, storeDir := writeShardFleet(t, g, tmp)
 
 	// Build both real binaries under the race detector.
 	hsgfdBin := filepath.Join(tmp, "hsgfd")
@@ -212,15 +208,15 @@ func TestRouterSmoke(t *testing.T) {
 		}
 	}
 
-	// Boot 4 shards x 2 replicas, every replica a real hsgfd serving its
-	// shard's store.
+	// Boot 4 shards x 2 replicas, every replica a real hsgfd serving the
+	// one store.
 	daemons := make([][]*proc, smokeShards)
 	var shardFlags []string
 	for si := 0; si < smokeShards; si++ {
 		var urls []string
 		for ri := 0; ri < smokeReplicas; ri++ {
 			p := startProc(t, fmt.Sprintf("hsgfd[%d/%d]", si, ri), hsgfdBin,
-				"-store", storeDirs[si],
+				"-store", storeDir,
 				"-addr", "127.0.0.1:0",
 				"-emax", fmt.Sprint(smokeEmax),
 				"-max-inflight", "4",
@@ -366,19 +362,13 @@ func TestRouterSmoke(t *testing.T) {
 	}
 
 	// Phase 1: fleet-wide zero-downtime reload under load. Write
-	// generation 2 into every shard store first, then flip the fleet.
-	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: smokeShards, HaloDepth: smokeEmax})
+	// generation 2 into the store first, then flip the fleet.
+	st, err := hsgf.OpenStore(storeDir, hsgf.StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for si, sd := range storeDirs {
-		st, err := hsgf.OpenStore(sd, hsgf.StoreOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := hsgf.SaveGraphSnapshot(st, plans[si].Graph); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := hsgf.SaveGraphSnapshot(st, g); err != nil {
+		t.Fatal(err)
 	}
 	stop1 := make(chan struct{})
 	req1, hard1, deg1, wg1 := trafficPhase(4, stop1)

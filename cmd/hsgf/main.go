@@ -18,10 +18,10 @@
 // periodically so a killed run restarted with -resume picks up where it
 // left off. Roots that finished in degraded form are reported on stderr.
 //
-// With -store DIR the graph and the extracted feature set are also
-// written into a crash-safe artifact store as checksummed,
-// generation-numbered snapshots that hsgfd -store can boot from and
-// hot-reload.
+// With -store DIR the graph is also written into a crash-safe artifact
+// store as the next checksummed, generation-numbered snapshot, which
+// hsgfd -store boots from and hot-reloads; hsgfd computes feature rows
+// from it on demand.
 //
 // Input in the typed TSV format (a leading "t directed|undirected"
 // record and an edge label on every edge line) yields direction- and
@@ -30,14 +30,14 @@
 // carry no edge-type section.
 //
 // With -partition N -shards-out DIR the command becomes the fleet
-// partitioner instead of an extractor: the graph is cut into N
-// root-owned shards with a halo of neighbours deep enough that census
-// extraction inside a shard is exact (see -halo), each shard graph is
-// written into DIR/shard-NNN as a crash-safe store snapshot that a
-// shard hsgfd boots from, and DIR/manifest.json records the routing
-// metadata hsgf-router loads (manifest version 2, whose per-shard ID
-// tables are base64 strings of int32 node IDs; the router still reads
-// version-1 manifests, whose tables are JSON arrays).
+// partitioner instead of an extractor: the graph's roots are split
+// between N shards, each of which serves the whole graph, so the graph
+// is written once, into the store DIR/store that every replica of every
+// shard boots from, and DIR/manifest.json records the routing metadata
+// hsgf-router loads (manifest version 3: the shard and node counts).
+// hsgf-router refuses the version-1 and version-2 manifests of older
+// builds, whose shards were halo-cut sub-graphs; re-run -partition to
+// replace them.
 package main
 
 import (
@@ -74,11 +74,10 @@ func main() {
 		ckpt     = flag.String("checkpoint", "", "snapshot completed roots to this file during extraction")
 		resume   = flag.Bool("resume", false, "load the checkpoint file and skip already-completed roots")
 		ckptIv   = flag.Int("checkpoint-interval", 64, "snapshot after every N completed roots")
-		storeDir = flag.String("store", "", "also write the graph and feature set into this artifact store as checksummed snapshots")
+		storeDir = flag.String("store", "", "also write the graph into this artifact store as a checksummed snapshot")
 
-		partition = flag.Int("partition", 0, "cut the graph into this many shards for the routing tier instead of extracting")
-		halo      = flag.Int("halo", 0, "shard halo depth; 0 derives the exactness minimum (emax, or emax+1 under dmax)")
-		shardsOut = flag.String("shards-out", "", "directory for per-shard stores and manifest.json, the routing manifest (version 2: each shard's ID table as base64 int32s; hsgf-router also reads version 1) (required with -partition)")
+		partition = flag.Int("partition", 0, "split the graph's roots between this many shards for the routing tier instead of extracting")
+		shardsOut = flag.String("shards-out", "", "directory for the shard store (DIR/store, shared by every shard) and manifest.json, the version-3 routing manifest (required with -partition)")
 	)
 	flag.Parse()
 	if *in == "" {
@@ -94,7 +93,7 @@ func main() {
 		if *shardsOut == "" {
 			err = fmt.Errorf("-partition requires -shards-out")
 		} else {
-			err = runPartition(*in, *shardsOut, *partition, *halo, *emax, *dmaxPct)
+			err = runPartition(*in, *shardsOut, *partition)
 		}
 	} else {
 		err = run(*in, *out, *workers, *asJSON, extractConfig{
@@ -210,9 +209,9 @@ func run(in, out string, workers int, asJSON bool, cfg extractConfig) error {
 	reportDegradation(censuses, ex.Panics())
 	vocab := hsgf.VocabularyOf(censuses)
 
-	// Persist crash-safe snapshots alongside the flat output: the graph
-	// and the feature set each become the next checksummed generation,
-	// ready for hsgfd -store to boot from and hot-reload.
+	// Persist a crash-safe snapshot of the graph alongside the flat
+	// output: the next checksummed generation, ready for hsgfd -store to
+	// boot from and hot-reload.
 	if cfg.store != "" {
 		st, err := hsgf.OpenStore(cfg.store, hsgf.StoreOptions{})
 		if err != nil {
@@ -222,16 +221,7 @@ func run(in, out string, workers int, asJSON bool, cfg extractConfig) error {
 		if err != nil {
 			return err
 		}
-		fs, err := hsgf.NewFeatureSet(ex, censuses, vocab)
-		if err != nil {
-			return err
-		}
-		fsGen, err := hsgf.SaveFeatureSetSnapshot(st, fs)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "hsgf: stored graph generation %d, featureset generation %d in %s\n",
-			gGen, fsGen, cfg.store)
+		fmt.Fprintf(os.Stderr, "hsgf: stored graph generation %d in %s\n", gGen, cfg.store)
 	}
 
 	if asJSON {
@@ -307,60 +297,38 @@ func reportDegradation(censuses []*hsgf.Census, panics []hsgf.PanicRecord) {
 	}
 }
 
-// runPartition cuts the graph for the routing tier: per-shard store
-// snapshots plus the routing manifest. The halo depth defaults to the
-// exactness minimum — emax without a hub cutoff (a connected subgraph
-// with <= emax edges never leaves the root's emax-ball), emax+1 with
-// one (the census consults the degree of every node entering a
-// subgraph, so boundary nodes one step past the ball must keep their
-// full-graph degree).
-func runPartition(in, outDir string, nShards, halo, emax int, dmaxPct float64) error {
+// runPartition cuts the graph for the routing tier: one store snapshot
+// of the whole graph, which every shard serves, plus the routing
+// manifest.
+func runPartition(in, outDir string, nShards int) error {
 	g, err := hsgf.ReadGraphFile(in)
 	if err != nil {
 		return err
 	}
-	if halo <= 0 {
-		halo = emax
-		if dmaxPct > 0 && dmaxPct < 1 {
-			halo = emax + 1
-		}
-	}
-	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: nShards, HaloDepth: halo})
+	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: nShards})
 	if err != nil {
 		return err
 	}
 	if err := graph.ValidatePartition(g, plans); err != nil {
 		return err
 	}
-	for _, p := range plans {
-		dir := filepath.Join(outDir, fmt.Sprintf("shard-%03d", p.Shard))
-		st, err := hsgf.OpenStore(dir, hsgf.StoreOptions{})
-		if err != nil {
-			return err
-		}
-		gen, err := hsgf.SaveGraphSnapshot(st, p.Graph)
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", p.Shard, err)
-		}
-		fmt.Fprintf(os.Stderr, "hsgf: shard %d: %d nodes (%.1f%% of the graph, %d owned roots), %d edges (%.1f%%) -> %s (generation %d)\n",
-			p.Shard, p.Graph.NumNodes(), share(p.Graph.NumNodes(), g.NumNodes()), len(p.OwnedRoots),
-			p.Graph.NumEdges(), share(p.Graph.NumEdges(), g.NumEdges()), dir, gen)
-	}
-	m := router.BuildManifest(g.NumNodes(), halo, plans)
-	path := filepath.Join(outDir, "manifest.json")
-	if err := router.WriteManifest(path, m); err != nil {
+	dir := filepath.Join(outDir, "store")
+	st, err := hsgf.OpenStore(dir, hsgf.StoreOptions{})
+	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "hsgf: wrote routing manifest %s (%d shards, halo depth %d)\n", path, nShards, halo)
-	return nil
-}
-
-// share is part as a percentage of whole (0 for an empty whole): a
-// shard's replication factor, since halos copy nodes into several
-// shards.
-func share(part, whole int) float64 {
-	if whole == 0 {
-		return 0
+	gen, err := hsgf.SaveGraphSnapshot(st, g)
+	if err != nil {
+		return err
 	}
-	return 100 * float64(part) / float64(whole)
+	fmt.Fprintf(os.Stderr, "hsgf: %d nodes, %d edges -> %s (generation %d)\n", g.NumNodes(), g.NumEdges(), dir, gen)
+	for _, p := range plans {
+		fmt.Fprintf(os.Stderr, "hsgf: shard %d owns %d roots\n", p.Shard, len(p.OwnedRoots))
+	}
+	path := filepath.Join(outDir, "manifest.json")
+	if err := router.WriteManifest(path, router.BuildManifest(g.NumNodes(), 0, plans)); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "hsgf: wrote routing manifest %s (%d shards)\n", path, nShards)
+	return nil
 }

@@ -238,10 +238,10 @@ func main() {
 		// Streaming-ingest mode: the engine owns the serving state. It
 		// recovers from the newest verified ingest snapshot plus the WAL
 		// tail; an empty store seeds from the graph artifact or -in.
-		// Fleet followers take router-sequenced sub-batches, which carry
-		// halo repair and may legitimately exceed the direct-client
-		// mutation cap; the router bounds them to the fleet cap before
-		// sequencing, so the engine must accept up to that bound.
+		// Fleet followers take router-sequenced batches up to the
+		// fleet cap, which the router enforces on every client batch
+		// before sequencing it, so the engine must accept up to that
+		// bound.
 		maxBatch := 0 // engine default
 		if *fleetFollower {
 			maxBatch = ingest.FleetMaxBatchMutations

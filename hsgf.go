@@ -211,7 +211,7 @@ func ExtractFeatures(g *Graph, roots []NodeID, opts Options, workers int) ([][]f
 }
 
 // Artifact store: crash-safe, checksummed, generation-numbered snapshots
-// of graphs and feature sets. See hsgf/internal/store for the envelope
+// of graphs. See hsgf/internal/store for the envelope
 // format and durability contract.
 type (
 	// Store is a directory of generation-numbered snapshot artifacts
@@ -252,15 +252,3 @@ func LoadGraphSnapshot(st *Store) (*Graph, uint64, error) { return core.LoadGrap
 // ReadGraphFile reads a graph from a file in whichever format its bytes
 // declare: a store graph snapshot or a TSV exchange file.
 func ReadGraphFile(path string) (*Graph, error) { return core.ReadGraphFile(path) }
-
-// SaveFeatureSetSnapshot writes fs into st as the next feature-set
-// generation.
-func SaveFeatureSetSnapshot(st *Store, fs *FeatureSet) (uint64, error) {
-	return core.SaveFeatureSetSnapshot(st, fs)
-}
-
-// LoadFeatureSetSnapshot loads the newest feature-set generation that
-// passes verification.
-func LoadFeatureSetSnapshot(st *Store) (*FeatureSet, uint64, error) {
-	return core.LoadFeatureSetSnapshot(st)
-}

@@ -14,7 +14,6 @@ import (
 // renamed file can never be decoded as the wrong artifact.
 const (
 	ArtifactGraphBin   = "graphbin"
-	ArtifactFeatureSet = "featureset"
 	ArtifactCheckpoint = "checkpoint"
 )
 

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"hsgf/internal/store"
@@ -20,44 +18,6 @@ func testStore(t *testing.T) *store.Store {
 		t.Fatal(err)
 	}
 	return st
-}
-
-func testFeatureSet(t *testing.T) *FeatureSet {
-	t.Helper()
-	g := denseGraph(t, 30)
-	ex, err := NewExtractor(g, Options{MaxEdges: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	roots := allRoots(g)[:10]
-	censuses := ex.CensusAll(roots, 2)
-	fs, err := NewFeatureSet(ex, censuses, VocabularyOf(censuses))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fs
-}
-
-func TestFeatureSetSnapshotRoundTrip(t *testing.T) {
-	st := testStore(t)
-	fs := testFeatureSet(t)
-	gen, err := SaveFeatureSetSnapshot(st, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen != 1 {
-		t.Fatalf("first snapshot got generation %d", gen)
-	}
-	got, gotGen, err := LoadFeatureSetSnapshot(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotGen != gen {
-		t.Fatalf("loaded generation %d, want %d", gotGen, gen)
-	}
-	if !reflect.DeepEqual(fs, got) {
-		t.Fatal("feature set did not round-trip through the store")
-	}
 }
 
 func TestGraphSnapshotRoundTrip(t *testing.T) {
@@ -85,18 +45,13 @@ func TestGraphSnapshotRoundTrip(t *testing.T) {
 // instead of silently misparsed — the forward-compat contract for
 // same-version writers with extensions.
 func TestSnapshotUnknownTrailingSectionRejected(t *testing.T) {
-	var buf bytes.Buffer
-	fs := testFeatureSet(t)
-	if err := fs.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sections, err := artifactSections(ArtifactFeatureSet, buf.Bytes())
+	sections, err := artifactSections(ArtifactCheckpoint, []byte("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sections = append(sections, store.Section{Name: "future-extension", Payload: []byte("v2 data")})
 	env := &store.Envelope{Version: store.FormatVersion, Sections: sections}
-	if _, err := artifactPayload(env, ArtifactFeatureSet); !errors.Is(err, store.ErrCorrupt) {
+	if _, err := artifactPayload(env, ArtifactCheckpoint); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("unknown trailing section: got %v, want ErrCorrupt", err)
 	}
 }
@@ -104,15 +59,15 @@ func TestSnapshotUnknownTrailingSectionRejected(t *testing.T) {
 // TestSnapshotFutureSchemaRejected proves a payload schema from the
 // future is refused with ErrUnsupportedVersion, not guessed at.
 func TestSnapshotFutureSchemaRejected(t *testing.T) {
-	meta, err := json.Marshal(artifactMeta{Artifact: ArtifactFeatureSet, Schema: artifactSchema + 1})
+	meta, err := json.Marshal(artifactMeta{Artifact: ArtifactCheckpoint, Schema: artifactSchema + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	env := &store.Envelope{Version: store.FormatVersion, Sections: []store.Section{
 		{Name: "meta", Payload: meta},
-		{Name: ArtifactFeatureSet, Payload: []byte("{}")},
+		{Name: ArtifactCheckpoint, Payload: []byte("{}")},
 	}}
-	_, err = artifactPayload(env, ArtifactFeatureSet)
+	_, err = artifactPayload(env, ArtifactCheckpoint)
 	if !errors.Is(err, store.ErrUnsupportedVersion) {
 		t.Fatalf("future schema: got %v, want ErrUnsupportedVersion", err)
 	}
@@ -122,49 +77,46 @@ func TestSnapshotFutureSchemaRejected(t *testing.T) {
 }
 
 // TestSnapshotWrongArtifactRejected proves a renamed snapshot (graph
-// bytes under a featureset name) cannot decode as the wrong artifact.
+// bytes under a checkpoint name) cannot decode as the wrong artifact.
 func TestSnapshotWrongArtifactRejected(t *testing.T) {
 	sections, err := artifactSections(ArtifactGraphBin, []byte("HSGFBIN"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	env := &store.Envelope{Version: store.FormatVersion, Sections: sections}
-	if _, err := artifactPayload(env, ArtifactFeatureSet); !errors.Is(err, store.ErrCorrupt) {
+	if _, err := artifactPayload(env, ArtifactCheckpoint); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("wrong artifact: got %v, want ErrCorrupt", err)
 	}
 }
 
-// TestFeatureSetSnapshotQuarantinesInvalidPayload: a generation whose
-// envelope verifies but whose FeatureSet payload fails validation is as
+// TestGraphSnapshotQuarantinesInvalidPayload: a generation whose
+// envelope verifies but whose graph payload does not decode is as
 // unusable as a torn file — it must be quarantined and the previous
 // generation served.
-func TestFeatureSetSnapshotQuarantinesInvalidPayload(t *testing.T) {
+func TestGraphSnapshotQuarantinesInvalidPayload(t *testing.T) {
 	st := testStore(t)
-	fs := testFeatureSet(t)
-	if _, err := SaveFeatureSetSnapshot(st, fs); err != nil {
+	g := denseGraph(t, 30)
+	if _, err := SaveGraphSnapshots(st, g); err != nil {
 		t.Fatal(err)
 	}
-	// A structurally intact envelope wrapping a semantically broken
-	// feature set: row references a column outside the vocabulary.
-	bad := []byte(`{"max_edges":2,"label_slots":0,"features":[],"roots":[0],` +
-		`"rows":[{"columns":[5],"counts":[1]}]}`)
-	sections, err := artifactSections(ArtifactFeatureSet, bad)
+	// A structurally intact envelope wrapping bytes that are no graph.
+	sections, err := artifactSections(ArtifactGraphBin, []byte("HSGFBIN but not a graph"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Write(ArtifactFeatureSet, sections); err != nil {
+	if _, err := st.Write(ArtifactGraphBin, sections); err != nil {
 		t.Fatal(err)
 	}
 
-	got, gen, err := LoadFeatureSetSnapshot(st)
+	got, gen, err := LoadGraphSnapshotAuto(st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gen != 1 {
 		t.Fatalf("served generation %d, want fallback to 1", gen)
 	}
-	if !reflect.DeepEqual(fs, got) {
-		t.Fatal("fallback feature set diverged")
+	if got.NumNodes() != g.NumNodes() || got.NumEdges() != g.NumEdges() {
+		t.Fatal("fallback graph diverged")
 	}
 	quarantined, err := filepath.Glob(filepath.Join(st.Dir(), "*.corrupt"))
 	if err != nil {

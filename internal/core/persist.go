@@ -2,12 +2,9 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"hsgf/internal/store"
 )
 
 // FeatureSet is the portable form of extracted features: the vocabulary
@@ -212,45 +209,6 @@ func (fs *FeatureSet) validate() error {
 		seen[f.Key] = i
 	}
 	return nil
-}
-
-// SaveFeatureSetSnapshot writes fs into st as the next checksummed
-// "featureset" generation. The write is atomic and durable (fsynced
-// file and directory) when it returns.
-func SaveFeatureSetSnapshot(st *store.Store, fs *FeatureSet) (uint64, error) {
-	var buf bytes.Buffer
-	if err := fs.Write(&buf); err != nil {
-		return 0, err
-	}
-	sections, err := artifactSections(ArtifactFeatureSet, buf.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	return st.Write(ArtifactFeatureSet, sections)
-}
-
-// LoadFeatureSetSnapshot loads the newest feature-set generation that
-// passes both envelope verification and FeatureSet validation; a
-// generation failing either is quarantined and the next-older one is
-// tried.
-func LoadFeatureSetSnapshot(st *store.Store) (*FeatureSet, uint64, error) {
-	var fs *FeatureSet
-	_, gen, err := st.LoadLatestVerified(ArtifactFeatureSet, func(env *store.Envelope) error {
-		payload, err := artifactPayload(env, ArtifactFeatureSet)
-		if err != nil {
-			return err
-		}
-		decoded, err := ReadFeatureSet(bytes.NewReader(payload))
-		if err != nil {
-			return fmt.Errorf("%w: %v", store.ErrCorrupt, err)
-		}
-		fs = decoded
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return fs, gen, nil
 }
 
 // Dense expands the sparse rows into a dense row-major matrix aligned

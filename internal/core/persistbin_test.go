@@ -168,7 +168,13 @@ func TestReadGraphFileSniffsFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsGen, err := SaveFeatureSetSnapshot(st, testFeatureSet(t))
+	// An envelope of another kind: the checkpoint framing, written as
+	// a store generation.
+	sections, err := artifactSections(ArtifactCheckpoint, []byte("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckGen, err := st.Write(ArtifactCheckpoint, sections)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +194,7 @@ func TestReadGraphFileSniffsFormats(t *testing.T) {
 	}{
 		"binary-envelope":     {st.Path(ArtifactGraphBin, binGen), true},
 		"bare-tsv":            {bare, true},
-		"featureset-envelope": {st.Path(ArtifactFeatureSet, fsGen), false},
+		"checkpoint-envelope": {st.Path(ArtifactCheckpoint, ckGen), false},
 	} {
 		loaded, err := ReadGraphFile(tc.path)
 		if !tc.ok {

@@ -419,13 +419,10 @@ func TestTypedRefusals(t *testing.T) {
 	}{
 		{"graph.EncodeBinary", func() error { _, err := graph.EncodeBinary(g, 0); return err }},
 		{"graph.PartitionByRoot", func() error {
-			_, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: 2, HaloDepth: 2})
+			_, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: 2})
 			return err
 		}},
-		{"graph.NewShardMap", func() error {
-			_, err := graph.NewShardMap(g, graph.PartitionConfig{NumShards: 2, HaloDepth: 2})
-			return err
-		}},
+		{"Overlay.Check", func() error { return graph.NewOverlay(g).Check([]graph.Mutation{{Op: graph.OpAddNode, Label: "a"}}) }},
 		{"Overlay.Apply", func() error { return graph.NewOverlay(g).Apply(graph.Mutation{Op: graph.OpAddNode, Label: "a"}) }},
 		{"Overlay.Materialize", func() error { _, err := graph.NewOverlay(g).Materialize(); return err }},
 		{"SaveGraphSnapshots", func() error { _, err := SaveGraphSnapshots(st, g); return err }},

@@ -275,8 +275,10 @@ func DecodeMutations(data []byte) (batchID string, muts []Mutation, err error) {
 type Overlay struct {
 	base *Graph
 
-	// labels/names cover all nodes, base and added; base prefixes are
-	// copied once at construction (O(V), far below Materialize's cost).
+	// labels covers all nodes, base and added; the base prefix is copied
+	// once at construction (O(V), far below Materialize's cost). names
+	// holds only the added nodes' names, at v - base.NumNodes(): base
+	// nodes keep theirs in base, since no mutation renames a node.
 	labels []Label
 	names  []string
 
@@ -291,14 +293,12 @@ func NewOverlay(base *Graph) *Overlay {
 	o := &Overlay{
 		base:    base,
 		labels:  make([]Label, base.NumNodes()),
-		names:   make([]string, base.NumNodes()),
 		added:   make(map[[2]NodeID]struct{}),
 		removed: make(map[[2]NodeID]struct{}),
 		touched: make(map[NodeID]struct{}),
 	}
-	for v := 0; v < base.NumNodes(); v++ {
+	for v := range o.labels {
 		o.labels[v] = base.Label(NodeID(v))
-		o.names[v] = base.Name(NodeID(v))
 	}
 	return o
 }
@@ -311,6 +311,19 @@ func (o *Overlay) NumEdges() int { return o.base.NumEdges() - len(o.removed) + l
 
 // Label returns node v's effective label.
 func (o *Overlay) Label(v NodeID) Label { return o.labels[v] }
+
+// name returns node v's name, "" when it has none.
+func (o *Overlay) name(v NodeID) string {
+	if nb := NodeID(o.base.NumNodes()); v >= nb {
+		return o.names[v-nb]
+	}
+	return o.base.Name(v)
+}
+
+// EdgeEdits returns how many edge entries the overlay holds: edges
+// added over the base plus base edges removed. Beside the O(V) label
+// copy, they are what an overlay's memory grows with.
+func (o *Overlay) EdgeEdits() int { return len(o.added) + len(o.removed) }
 
 // HasEdge reports adjacency in the combined state.
 func (o *Overlay) HasEdge(u, v NodeID) bool {
@@ -446,6 +459,61 @@ func (o *Overlay) Apply(m Mutation) error {
 	}
 }
 
+// Check reports whether Apply would accept every mutation of muts in
+// order, without changing the overlay: the same invariants, including
+// references to nodes the batch itself adds and edges it adds or
+// removes earlier in the batch. The first refused mutation's error is
+// returned, numbered by its index in muts. The router checks each
+// client batch this way before the batch takes a fleet sequence: once
+// sequenced, a batch must apply cleanly on every shard.
+func (o *Overlay) Check(muts []Mutation) error {
+	if err := o.base.RequireUntyped("graph: overlay"); err != nil {
+		return err
+	}
+	next := NodeID(len(o.labels))
+	// edits maps each edge the batch touched to its presence after the
+	// mutations checked so far.
+	edits := make(map[[2]NodeID]bool)
+	for i, m := range muts {
+		switch m.Op {
+		case OpAddNode:
+			if _, ok := o.base.Alphabet().Lookup(m.Label); !ok {
+				return fmt.Errorf("mutation %d: unknown label %q", i, m.Label)
+			}
+			next++
+		case OpAddEdge, OpRemoveEdge:
+			if m.U == m.V {
+				return fmt.Errorf("mutation %d: self loop at node %d", i, m.U)
+			}
+			if m.U < 0 || m.V < 0 || m.U >= next || m.V >= next {
+				return fmt.Errorf("mutation %d: edge %d-%d references unknown node (have %d nodes)", i, m.U, m.V, next)
+			}
+			k := edgeKey(m.U, m.V)
+			present, ok := edits[k]
+			if !ok {
+				present = o.HasEdge(m.U, m.V)
+			}
+			if m.Op == OpAddEdge && present {
+				return fmt.Errorf("mutation %d: duplicate edge %d-%d", i, m.U, m.V)
+			}
+			if m.Op == OpRemoveEdge && !present {
+				return fmt.Errorf("mutation %d: edge %d-%d does not exist", i, m.U, m.V)
+			}
+			edits[k] = m.Op == OpAddEdge
+		case OpRelabel:
+			if m.U < 0 || m.U >= next {
+				return fmt.Errorf("mutation %d: relabel of unknown node %d (have %d nodes)", i, m.U, next)
+			}
+			if _, ok := o.base.Alphabet().Lookup(m.Label); !ok {
+				return fmt.Errorf("mutation %d: unknown label %q", i, m.Label)
+			}
+		default:
+			return fmt.Errorf("mutation %d: unknown op %d", i, uint8(m.Op))
+		}
+	}
+	return nil
+}
+
 // Dirty reports whether any mutation changed the combined state.
 func (o *Overlay) Dirty() bool { return len(o.touched) > 0 }
 
@@ -473,7 +541,7 @@ func (o *Overlay) Materialize() (*Graph, error) {
 		if _, err := b.AddLabeledNode(o.labels[v]); err != nil {
 			return nil, err
 		}
-		b.SetName(NodeID(v), o.names[v])
+		b.SetName(NodeID(v), o.name(NodeID(v)))
 	}
 	var err error
 	o.base.Edges(func(u, v NodeID) bool {

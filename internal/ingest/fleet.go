@@ -15,12 +15,12 @@ import (
 //
 //	f<fleetSeq>.<clientID>
 //
-// before fanning sub-batches out to shards. The composite ID is what
+// before sending the batch to every shard. The composite ID is what
 // each shard's engine records in its applied index, which gives the
 // fleet two properties for free:
 //
-//   - cross-shard idempotency keyed by (fleet batch, shard): a
-//     duplicate fan-out — client retry through the router, router
+//   - idempotency keyed by fleet batch at every shard: a duplicate
+//     fan-out — client retry through the router, router
 //     crash-replay, or gap repair — hits the engine's existing replay
 //     path and acks without re-applying;
 //   - a durable per-shard fleet watermark: the highest fleet sequence
@@ -33,15 +33,14 @@ import (
 const MaxFleetClientID = graph.MaxBatchID - 22 // "f" + 20 digits + "."
 
 // FleetMaxBatchMutations is the engine mutation cap for fleet-follower
-// daemons, and the router's default per-shard sub-batch bound. It is
-// deliberately above DefaultMaxBatchMutations: a router-sequenced
-// sub-batch carries halo repair (a pulled node's full adjacency), so a
-// small client batch can legitimately expand well past the direct-
-// client cap. The two sides must stay aligned — the router refuses any
-// client batch whose sub-batches would exceed the followers' limits
-// BEFORE sequencing it, because a follower rejecting an already-
-// sequenced sub-batch as oversized would permanently poison fleet
-// ingest (the sequence is durable and replays on every boot).
+// daemons and the router's cap on one client batch: the router sends
+// each client batch unchanged to every follower, so the two are one
+// limit. It stays above DefaultMaxBatchMutations, the cap a daemon
+// takes from direct clients, so batches the fleet has accepted before
+// keep being accepted. The router refuses a larger client batch BEFORE
+// sequencing it, because a follower rejecting an already-sequenced
+// batch as oversized would permanently poison fleet ingest (the
+// sequence is durable and replays on every boot).
 const FleetMaxBatchMutations = 1 << 16
 
 // FleetBatchID builds the composite batch ID for a sequenced fleet
@@ -85,7 +84,7 @@ func (e *Engine) noteFleetSeq(batchID string) {
 
 // FleetWatermark returns the highest fleet sequence this engine has
 // applied, or 0 if it has never seen a fleet batch. A shard refuses a
-// fleet sub-batch whose predecessor sequence is not this watermark and
+// fleet batch whose predecessor sequence is not this watermark and
 // reports the watermark back so the router can replay the gap.
 func (e *Engine) FleetWatermark() uint64 {
 	e.mu.Lock()

@@ -21,10 +21,11 @@ import (
 //  1. Verify: every replica of every shard runs a verify-only reload
 //     (POST /v1/admin/reload?verify=1) — the next generation is built,
 //     checksummed and validated off the request path, but NOT swapped
-//     in. Replicas of one shard must also agree on what they verified
-//     (same generation and fingerprint), since they share a store. If
-//     anything fails, the protocol aborts here and NOTHING anywhere has
-//     changed: a half-upgraded fleet is unrepresentable.
+//     in. Every replica of every shard must also agree on what it
+//     verified (same generation and fingerprint), since every shard
+//     serves the one graph. If anything fails, the protocol aborts here
+//     and NOTHING anywhere has changed: a half-upgraded fleet is
+//     unrepresentable.
 //
 //  2. Flip: only after a fully green verify phase, replicas swap
 //     shard-by-shard, one replica at a time, so each shard always has
@@ -160,15 +161,17 @@ func (s *Server) fleetReload(ctx context.Context) *FleetReloadResponse {
 				return resp
 			}
 		}
-		// Replicas of one shard share a store; disagreement on what the
-		// next generation is means the stores diverged — refuse to flip.
-		first := resp.Shards[i].Replicas[0]
-		for _, st := range resp.Shards[i].Replicas[1:] {
+	}
+	// Every shard serves the one graph; disagreement on what the next
+	// generation is means the stores diverged — refuse to flip.
+	first := resp.Shards[0].Replicas[0]
+	for i := range resp.Shards {
+		for _, st := range resp.Shards[i].Replicas {
 			if st.Generation != first.Generation || st.Fingerprint != first.Fingerprint {
 				resp.Outcome = "verify_failed"
 				resp.Error = fmt.Sprintf(
-					"shard %d replicas disagree on the next generation (%d/%s vs %d/%s) — nothing was flipped",
-					i, first.Generation, first.Fingerprint, st.Generation, st.Fingerprint)
+					"replicas disagree on the next generation (shard 0 %s: %d/%s, shard %d %s: %d/%s) — nothing was flipped",
+					first.URL, first.Generation, first.Fingerprint, i, st.URL, st.Generation, st.Fingerprint)
 				return resp
 			}
 		}

@@ -18,37 +18,39 @@ import (
 )
 
 // Fleet ingest: the router is the fleet's single sequencer. Every
-// mutation batch is validated against the router's authoritative
-// membership map, assigned a monotone fleet sequence by a CRC-framed
-// sequencer WAL (durability point), resolved into per-shard sub-batches
-// (owner shard plus every shard whose halo the mutation touches, with
-// halo repair woven in by graph.ShardMap), and fanned out to every
-// replica of every affected shard. Replicas apply strictly in fleet
-// order — the sub-batch carries (fleet_seq, prev_fleet_seq) and a shard
-// at a different watermark refuses with 409 sequence_gap, which the
-// sender repairs by replaying the missed suffix of that shard's chain
-// from the in-memory history backed by the sequencer log.
+// client batch is checked against the router's graph.Overlay over the
+// ingest graph, assigned a monotone fleet sequence by a CRC-framed
+// sequencer WAL (durability point), and sent unchanged, as one body, to
+// every replica of every shard: each shard serves the whole graph, so
+// each applies every batch. Replicas apply strictly in fleet order —
+// the body carries (fleet_seq, prev_fleet_seq = fleet_seq-1) and a
+// replica at a different watermark refuses with 409 sequence_gap,
+// which the sender repairs by replaying the missed suffix of the fleet
+// chain from the in-memory history backed by the sequencer log. The
+// body also carries the node count of the graph it applies to, so a
+// replica whose graph differs (a store cut into halo shards by an older
+// partitioner) refuses it with 400 instead of mis-applying it.
 //
-// The client ack contract: 200 only after every replica of every
-// affected shard confirmed the sub-batch; otherwise a machine-readable
-// 503 fleet_partial_apply carrying the fleet watermark, while senders
-// keep retrying in the background until stragglers converge. Duplicate
+// The client ack contract: 200 only after every replica of every shard
+// confirmed the batch; otherwise a machine-readable 503
+// fleet_partial_apply carrying the fleet watermark, while senders keep
+// retrying in the background until stragglers converge. Duplicate
 // client batch IDs ack idempotently at the router, and the composite
 // fleet batch ID makes the fan-out idempotent at every shard.
 
-// fanItem is one shard's sub-batch of one sequenced fleet batch: the
-// fully marshalled follower request, shared by every replica sender of
-// that shard and retained in the shard's chain history for gap replay.
+// fanItem is one sequenced fleet batch: the fully marshalled follower
+// request, shared by every replica sender and retained in the fleet
+// chain for gap replay.
 type fanItem struct {
-	seq   uint64
-	prev  uint64 // previous fleet seq that touched this shard (0 = first)
-	shard int
-	body  []byte
+	seq  uint64
+	body []byte
 }
 
-// ackState tracks one sequenced batch's outstanding replica confirms.
+// ackState tracks one sequenced batch's outstanding replica confirms
+// and the fleet node count once it applied.
 type ackState struct {
 	remaining int
+	nodes     int64
 	done      chan struct{}
 }
 
@@ -64,36 +66,35 @@ type fleetError struct {
 func (e *fleetError) Error() string { return e.msg }
 
 type fleetIngest struct {
-	s   *Server
-	sm  *graph.ShardMap
-	log *store.WAL // the sequencer log, records numbered 1..N by fleet seq; guarded by mu
+	s *Server
+	// overlay is the fleet graph after the newest sequenced batch: the
+	// ingest graph plus every batch in the sequencer log. Guarded by mu.
+	overlay *graph.Overlay
+	log     *store.WAL // the sequencer log, records numbered 1..N by fleet seq; guarded by mu
 
 	ackTimeout time.Duration
+	replicas   int // replicas across all shards: the confirms each batch needs
 
 	mu sync.Mutex
 	// failed latches when fleet state can no longer be trusted to match
 	// the sequencer log (sequencer IO failure after partial write, a
-	// post-validate apply failure, or a shard rejecting a sequenced
-	// sub-batch as malformed). Every later submit is refused; a restart
-	// rebuilds from the log.
+	// post-check apply failure, or a replica rejecting a sequenced batch
+	// as malformed). Every later submit is refused; a restart rebuilds
+	// from the log.
 	failed     bool
 	failReason string
-	// lastTouched[s] is the newest fleet seq whose fan-out touched shard
-	// s: the prev_fleet_seq link for the next sub-batch bound there.
-	lastTouched []uint64
-	// history[s] is shard s's sub-batch chain in ascending seq order —
-	// the gap-repair replay source, rebuilt from the sequencer log on
-	// boot. Items at or below every replica's confirmed watermark can
-	// never be replayed again, so confirmThrough trims them as confirms
-	// land; only the unconfirmed suffix is retained in memory.
-	history [][]*fanItem
-	// historyBytes tracks the retained sub-batch body bytes across all
-	// shard chains (a /debug/stats gauge).
+	// history is the fleet chain in ascending seq order — the gap-repair
+	// replay source, rebuilt from the sequencer log on boot. Items at or
+	// below every replica's confirmed watermark can never be replayed
+	// again, so confirmThrough trims them as confirms land; only the
+	// unconfirmed suffix is retained in memory.
+	history []*fanItem
+	// historyBytes tracks the retained body bytes (a /debug/stats gauge).
 	historyBytes int64
 	pending      map[uint64]*ackState
-	complete     map[uint64]bool // fully confirmed but above the watermark
+	complete     map[uint64]int64 // fully confirmed but above the watermark: seq -> node count
 	// watermark is the highest seq with every seq at or below it fully
-	// confirmed by all replicas of all affected shards.
+	// confirmed by all replicas.
 	watermark uint64
 	// acked maps every client batch ID ever sequenced to its fleet seq
 	// — the router-level idempotency index. It is deliberately
@@ -104,78 +105,47 @@ type fleetIngest struct {
 	// replay index can match. Compacting the log (DESIGN.md §14) is the
 	// operator lever that bounds both together.
 	acked map[string]uint64
-	// growth[seq] is the routing-table growth seq's batch produced
-	// (new shard members and the fleet node count after the batch),
-	// deferred until the fleet watermark passes seq: /v1/features must
-	// not admit a root and route it to replicas that have not applied
-	// the batch that created it.
-	growth map[uint64]*pendingGrowth
 
-	senders      []*replicaSender
-	shardSenders [][]*replicaSender // senders grouped by shard index
-	stopCh       chan struct{}
-	stopped      bool
-	wg           sync.WaitGroup
+	senders []*replicaSender
+	stopCh  chan struct{}
+	stopped bool
+	wg      sync.WaitGroup
 }
 
-// pendingGrowth is one sequenced batch's deferred routing-table growth.
-type pendingGrowth struct {
-	numNodes int64           // fleet node count once this seq is confirmed
-	perShard map[int][]int64 // shard -> new member globals, assignment order
-}
-
-// newFleetIngest builds the fleet ingest state: an authoritative
-// ShardMap cross-checked against the manifest m (the last reader of its
-// ID tables; nothing here keeps it), the sequencer log, and
-// one ordered sender per (shard, replica). Every record already in the
-// log is replayed through the ShardMap (deterministically regenerating
-// the exact sub-batches of the previous run) and each shard chain's
-// tail is enqueued to its replicas: an up-to-date replica replay-acks
-// the tail in one round trip — implicitly confirming its whole chain —
-// while a replica that crashed mid-stream answers 409 with its
-// watermark and gets the missed suffix replayed. That makes boot the
-// same code path as steady-state gap repair, and it is what repairs a
-// router killed between sequencing and fan-out.
+// newFleetIngest builds the fleet ingest state: an overlay over the
+// ingest graph g, checked against the manifest m's node count, the
+// sequencer log, and one ordered sender per (shard, replica). Every
+// record already in the log is replayed into the overlay (regenerating
+// the exact bodies of the previous run) and the chain's tail is
+// enqueued to every replica: an up-to-date replica replay-acks the tail
+// in one round trip — implicitly confirming the whole chain — while a
+// replica that crashed mid-stream answers 409 with its watermark and
+// gets the missed suffix replayed. That makes boot the same code path
+// as steady-state gap repair, and it is what repairs a router killed
+// between sequencing and fan-out.
 func newFleetIngest(s *Server, m *Manifest, g *graph.Graph, path string) (*fleetIngest, error) {
-	sm, err := graph.NewShardMap(g, graph.PartitionConfig{
-		NumShards: m.NumShards,
-		HaloDepth: m.HaloDepth,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("router: ingest shard map: %w", err)
+	if err := g.RequireUntyped("router: ingest graph"); err != nil {
+		return nil, err
 	}
-	// The ShardMap must agree with the manifest the shards were cut
-	// from, or local-ID translation would silently corrupt mutations.
-	for i := range s.shards {
-		man := m.Shards[i].LocalToGlobal
-		if sm.ShardSize(i) != len(man) {
-			return nil, fmt.Errorf("router: ingest graph disagrees with manifest: shard %d has %d members, manifest %d (wrong -ingest-graph?)",
-				i, sm.ShardSize(i), len(man))
-		}
-		for local, global := range man {
-			if l, ok := sm.LocalID(i, global); !ok || int(l) != local {
-				return nil, fmt.Errorf("router: ingest graph disagrees with manifest: shard %d node %d", i, global)
-			}
-		}
+	if g.NumNodes() != m.NumNodes {
+		return nil, fmt.Errorf("router: ingest graph has %d nodes, the manifest %d (wrong -ingest-graph?)", g.NumNodes(), m.NumNodes)
 	}
-
 	log, recs, err := store.OpenWAL(path)
 	if err != nil {
 		return nil, err
 	}
 	f := &fleetIngest{
-		s:            s,
-		sm:           sm,
-		log:          log,
-		ackTimeout:   s.cfg.IngestAckTimeout,
-		lastTouched:  make([]uint64, s.numShards),
-		history:      make([][]*fanItem, s.numShards),
-		pending:      make(map[uint64]*ackState),
-		complete:     make(map[uint64]bool),
-		acked:        make(map[string]uint64),
-		growth:       make(map[uint64]*pendingGrowth),
-		shardSenders: make([][]*replicaSender, s.numShards),
-		stopCh:       make(chan struct{}),
+		s:          s,
+		overlay:    graph.NewOverlay(g),
+		log:        log,
+		ackTimeout: s.cfg.IngestAckTimeout,
+		pending:    make(map[uint64]*ackState),
+		complete:   make(map[uint64]int64),
+		acked:      make(map[string]uint64),
+		stopCh:     make(chan struct{}),
+	}
+	for _, sh := range s.shards {
+		f.replicas += len(sh.replicas)
 	}
 
 	for i, rec := range recs {
@@ -190,7 +160,11 @@ func newFleetIngest(s *Server, m *Manifest, g *graph.Graph, path string) (*fleet
 			log.Close()
 			return nil, fmt.Errorf("router: sequencer record %d: %w", rec.Seq, err)
 		}
-		if _, err := f.sequencedApply(rec.Seq, clientID, muts); err != nil {
+		body, err := f.fanBody(rec.Seq, clientID, muts)
+		if err == nil {
+			err = f.commit(rec.Seq, clientID, muts, body)
+		}
+		if err != nil {
 			log.Close()
 			return nil, fmt.Errorf("router: replaying sequencer record %d: %w", rec.Seq, err)
 		}
@@ -200,14 +174,13 @@ func newFleetIngest(s *Server, m *Manifest, g *graph.Graph, path string) (*fleet
 		for _, rep := range sh.replicas {
 			rs := &replicaSender{f: f, sh: sh, rep: rep}
 			rs.cond = sync.NewCond(&rs.mu)
-			// Catch-up entry point: the tail of this shard's chain. Its
-			// ack confirms the whole chain; a gap answer pulls in the
-			// missed middle.
-			if chain := f.history[sh.idx]; len(chain) > 0 {
-				rs.queue = append(rs.queue, chain[len(chain)-1])
+			// Catch-up entry point: the tail of the chain. Its ack
+			// confirms the whole chain; a gap answer pulls in the missed
+			// middle.
+			if len(f.history) > 0 {
+				rs.queue = append(rs.queue, f.history[len(f.history)-1])
 			}
 			f.senders = append(f.senders, rs)
-			f.shardSenders[sh.idx] = append(f.shardSenders[sh.idx], rs)
 		}
 	}
 	for _, rs := range f.senders {
@@ -238,153 +211,64 @@ func (f *fleetIngest) stop() {
 	f.mu.Unlock()
 }
 
-// stageBatch resolves one batch against the membership map and builds
-// the per-shard sub-batch bodies for sequence seq WITHOUT committing
-// any fleet bookkeeping: chain links, history, acks, and routing-table
-// growth are installed by commitBatch once the sequence is durable. The
-// returned undo rolls the membership map back to its pre-batch state —
-// the refusal path for a batch whose sub-batches overflow the follower
-// limits. Caller holds f.mu or is inside newFleetIngest before the
-// state is shared. The emitted sub-batches are deterministic in the
-// ShardMap state, so a boot-time replay regenerates byte-identical
-// bodies to the run that crashed.
-func (f *fleetIngest) stageBatch(seq uint64, clientID string, muts []graph.Mutation) (items []*fanItem, deltas []graph.ShardDelta, undo func(), err error) {
-	deltas, undo, err = f.sm.ApplyStaged(muts)
-	if err != nil {
-		return nil, nil, nil, err
+// fanBody marshals the follower request for batch seq, which applies
+// to the overlay's current graph. The body is deterministic in the
+// overlay state, so a boot-time replay regenerates byte-identical
+// bodies to the run that crashed. Caller holds f.mu or is inside
+// newFleetIngest before the state is shared.
+func (f *fleetIngest) fanBody(seq uint64, clientID string, muts []graph.Mutation) ([]byte, error) {
+	wire := make([]serve.IngestMutation, len(muts))
+	for i, m := range muts {
+		wire[i] = serve.IngestMutation{Op: m.Op.String(), U: int64(m.U), V: int64(m.V), Label: m.Label, Name: m.Name}
 	}
-	batchID := ingest.FleetBatchID(seq, clientID)
-	items = make([]*fanItem, 0, len(deltas))
-	for _, d := range deltas {
-		wire := make([]serve.IngestMutation, len(d.Muts))
-		for i, m := range d.Muts {
-			wire[i] = serve.IngestMutation{Op: m.Op.String(), U: int64(m.U), V: int64(m.V), Label: m.Label, Name: m.Name}
-		}
-		body, merr := json.Marshal(serve.IngestRequest{
-			BatchID:      batchID,
-			FleetSeq:     seq,
-			PrevFleetSeq: f.lastTouched[d.Shard],
-			Mutations:    wire,
-		})
-		if merr != nil {
-			undo()
-			return nil, nil, nil, merr
-		}
-		items = append(items, &fanItem{seq: seq, prev: f.lastTouched[d.Shard], shard: d.Shard, body: body})
-	}
-	return items, deltas, undo, nil
+	nodes := int64(f.overlay.NumNodes())
+	return json.Marshal(serve.IngestRequest{
+		BatchID:      ingest.FleetBatchID(seq, clientID),
+		FleetSeq:     seq,
+		PrevFleetSeq: seq - 1,
+		FleetNodes:   &nodes,
+		Mutations:    wire,
+	})
 }
 
-// checkSubBatchLimits refuses a staged batch whose sub-batches the
-// followers would reject: mutation count over the engine cap or body
-// over the follower request bound. The check runs BEFORE the batch
-// takes a durable sequence — a follower 400 on a sequenced sub-batch
-// latches fleet ingest failed and, because boot replay regenerates the
-// identical sub-batch from the sequencer log, would re-latch it on
-// every restart. Refusing up front keeps oversized batches a plain
-// client error.
-func (f *fleetIngest) checkSubBatchLimits(items []*fanItem, deltas []graph.ShardDelta) *fleetError {
-	maxMuts, maxBytes := f.s.cfg.MaxSubBatchMutations, f.s.cfg.MaxSubBatchBytes
-	for i, item := range items {
-		if n := len(deltas[i].Muts); n > maxMuts {
-			return &fleetError{status: http.StatusBadRequest, code: "batch_too_large",
-				msg: fmt.Sprintf("shard %d sub-batch would carry %d mutations (halo repair included), over the follower cap %d; split the batch — or, if one mutation's halo expansion alone overflows, raise the fleet limits on both tiers", item.shard, n, maxMuts)}
-		}
-		if len(item.body) > maxBytes {
-			return &fleetError{status: http.StatusBadRequest, code: "batch_too_large",
-				msg: fmt.Sprintf("shard %d sub-batch body would be %d bytes (halo repair included), over the follower cap %d; split the batch — or, if one mutation's halo expansion alone overflows, raise the fleet limits on both tiers", item.shard, len(item.body), maxBytes)}
+// commit applies a durable batch to the overlay and installs its fleet
+// bookkeeping: the chain item, the pending ack state and the client
+// idempotency index. The batch passed Overlay.Check before it was
+// sequenced, so an apply error means the log and the overlay disagree.
+// Caller holds f.mu (or is inside newFleetIngest).
+func (f *fleetIngest) commit(seq uint64, clientID string, muts []graph.Mutation, body []byte) error {
+	for i, m := range muts {
+		if err := f.overlay.Apply(m); err != nil {
+			return fmt.Errorf("mutation %d: %w", i, err)
 		}
 	}
+	f.history = append(f.history, &fanItem{seq: seq, body: body})
+	f.historyBytes += int64(len(body))
+	f.acked[clientID] = seq
+	f.pending[seq] = &ackState{remaining: f.replicas, nodes: int64(f.overlay.NumNodes()), done: make(chan struct{})}
 	return nil
 }
 
-// commitBatch installs a staged batch's fleet bookkeeping: chain links,
-// history, the pending ack state, the client idempotency index, and the
-// deferred routing-table growth. Caller holds f.mu (or is inside
-// newFleetIngest) and has made seq durable in the sequencer log.
-func (f *fleetIngest) commitBatch(seq uint64, clientID string, items []*fanItem, deltas []graph.ShardDelta) {
-	remaining := 0
-	var grow *pendingGrowth
-	for i, item := range items {
-		f.lastTouched[item.shard] = seq
-		f.history[item.shard] = append(f.history[item.shard], item)
-		f.historyBytes += int64(len(item.body))
-		remaining += len(f.s.shards[item.shard].replicas)
-
-		if d := deltas[i]; len(d.NewNodes) > 0 {
-			globals := make([]int64, len(d.NewNodes))
-			for j, g := range d.NewNodes {
-				globals[j] = int64(g)
-			}
-			if grow == nil {
-				grow = &pendingGrowth{perShard: make(map[int][]int64)}
-			}
-			grow.perShard[d.Shard] = globals
-		}
-	}
-	if grow != nil {
-		grow.numNodes = int64(f.sm.NumNodes())
-		f.growth[seq] = grow
-	}
-
-	f.acked[clientID] = seq
-	st := &ackState{remaining: remaining, done: make(chan struct{})}
-	f.pending[seq] = st
-	if remaining == 0 {
-		// Defensive: a batch that touches no shard (unreachable today —
-		// every mutation has an owner) completes immediately.
-		f.completeLocked(seq, st)
-	}
-}
-
-// sequencedApply is the boot-replay path: stage plus commit for a
-// record already durable in the sequencer log. Limits are deliberately
-// NOT re-checked — the record passed them before it was appended, and
-// regeneration is deterministic; refusing here would brick boot if an
-// operator lowered the limits across a restart.
-func (f *fleetIngest) sequencedApply(seq uint64, clientID string, muts []graph.Mutation) ([]*fanItem, error) {
-	items, deltas, _, err := f.stageBatch(seq, clientID, muts)
-	if err != nil {
-		return nil, err
-	}
-	f.commitBatch(seq, clientID, items, deltas)
-	return items, nil
-}
-
 // completeLocked marks seq fully confirmed and advances the fleet
-// watermark over any now-contiguous prefix, applying each passed
-// batch's deferred routing-table growth in sequence order. Caller
-// holds f.mu.
+// watermark over any now-contiguous prefix, with it the fleet node
+// count that /v1/features validates roots against. The count moves
+// only here — not at sequencing — so the router never admits a root
+// and routes it to a replica that has not yet applied the batch that
+// created it. Caller holds f.mu.
 func (f *fleetIngest) completeLocked(seq uint64, st *ackState) {
 	delete(f.pending, seq)
-	f.complete[seq] = true
+	f.complete[seq] = st.nodes
 	close(st.done)
-	for f.complete[f.watermark+1] {
+	for {
+		nodes, ok := f.complete[f.watermark+1]
+		if !ok {
+			break
+		}
 		delete(f.complete, f.watermark+1)
 		f.watermark++
-		f.applyGrowthLocked(f.watermark)
+		f.s.numNodes.Store(nodes)
 	}
 	f.s.stats.fleetWatermark.Store(f.watermark)
-}
-
-// applyGrowthLocked installs the routing-table growth of a batch the
-// fleet watermark just passed: new member globals on each grown
-// shard's ID tables and the advanced fleet node count that /v1/features
-// validates roots against. Growth is deferred to this point — not
-// applied at sequencing — so the router never admits a root and routes
-// it to a replica that has not yet applied the batch that created it.
-// Watermark advance is contiguous, so growth applies in exact sequence
-// order and the node-count monotonically rises. Caller holds f.mu.
-func (f *fleetIngest) applyGrowthLocked(seq uint64) {
-	grow, ok := f.growth[seq]
-	if !ok {
-		return
-	}
-	delete(f.growth, seq)
-	for sh, globals := range grow.perShard {
-		f.s.shards[sh].growIDs(globals)
-	}
-	f.s.numNodes.Store(grow.numNodes)
 }
 
 // latchFailed poisons fleet ingest; only a router restart (which
@@ -399,15 +283,14 @@ func (f *fleetIngest) latchFailed(reason string) {
 	f.mu.Unlock()
 }
 
-// chainBetween returns shard sh's history items with seq in (after,
-// upTo) — the gap-replay window between a replica's watermark and the
-// item it refused. Caller holds f.mu.
-func (f *fleetIngest) chainBetween(sh int, after, upTo uint64) []*fanItem {
-	chain := f.history[sh]
-	i := sort.Search(len(chain), func(i int) bool { return chain[i].seq > after })
+// chainBetween returns the history items with seq in (after, upTo) —
+// the gap-replay window between a replica's watermark and the item it
+// refused. Caller holds f.mu.
+func (f *fleetIngest) chainBetween(after, upTo uint64) []*fanItem {
+	i := sort.Search(len(f.history), func(i int) bool { return f.history[i].seq > after })
 	var out []*fanItem
-	for ; i < len(chain) && chain[i].seq < upTo; i++ {
-		out = append(out, chain[i])
+	for ; i < len(f.history) && f.history[i].seq < upTo; i++ {
+		out = append(out, f.history[i])
 	}
 	return out
 }
@@ -432,7 +315,12 @@ func (f *fleetIngest) submit(ctx context.Context, clientID string, muts []graph.
 		f.s.stats.ingestReplayed.Add(1)
 		return f.awaitAck(ctx, prior, true, 0, st)
 	}
-	if err := f.sm.Validate(muts); err != nil {
+	if len(muts) > ingest.FleetMaxBatchMutations {
+		f.mu.Unlock()
+		return 0, false, 0, 0, &fleetError{status: http.StatusBadRequest, code: "batch_too_large",
+			msg: fmt.Sprintf("batch carries %d mutations, over the followers' cap %d; split it", len(muts), ingest.FleetMaxBatchMutations)}
+	}
+	if err := f.overlay.Check(muts); err != nil {
 		f.mu.Unlock()
 		return 0, false, 0, 0, &fleetError{status: http.StatusBadRequest, code: "bad_mutation", msg: err.Error()}
 	}
@@ -441,31 +329,27 @@ func (f *fleetIngest) submit(ctx context.Context, clientID string, muts []graph.
 		f.mu.Unlock()
 		return 0, false, 0, 0, &fleetError{status: http.StatusBadRequest, code: "bad_mutation", msg: err.Error()}
 	}
-	// Stage against the next sequence BEFORE appending to the sequencer:
-	// the sub-batch limit check must be able to refuse the batch with a
-	// plain 400 and roll the membership map back, which is only possible
-	// while nothing is durable yet. f.mu serialises every Append, so the
-	// staged sequence is the one the log takes.
+	// The body is built and size-checked BEFORE the sequencer append: a
+	// follower refusing a sequenced batch latches fleet ingest failed,
+	// and boot replay regenerates the identical body, so an oversized
+	// batch must stay a plain client error. f.mu serialises every
+	// Append, so the sequence the body names is the one the log takes.
 	seq = f.log.LastSeq() + 1
-	items, deltas, undo, err := f.stageBatch(seq, clientID, muts)
+	body, err := f.fanBody(seq, clientID, muts)
 	if err != nil {
-		// Validate passed, so this is a bug or resource exhaustion.
-		// Nothing is durable and the membership map was rolled back, so
-		// refuse this batch without latching the fleet.
 		f.mu.Unlock()
 		return 0, false, 0, 0, &fleetError{status: http.StatusInternalServerError, code: "fleet_failed",
-			msg: "batch failed to resolve against the membership map; not sequenced, safe to retry: " + err.Error()}
+			msg: "batch failed to encode; not sequenced, safe to retry: " + err.Error()}
 	}
-	if ferr := f.checkSubBatchLimits(items, deltas); ferr != nil {
-		undo()
+	if len(body) > serve.FleetMaxRequestBody {
 		f.mu.Unlock()
-		return 0, false, 0, 0, ferr
+		return 0, false, 0, 0, &fleetError{status: http.StatusBadRequest, code: "batch_too_large",
+			msg: fmt.Sprintf("batch re-encodes to a %d-byte follower body, over the followers' cap %d; split it", len(body), serve.FleetMaxRequestBody)}
 	}
 	if err := f.log.Append(seq, payload); err != nil {
 		// The sequencer could not make the assignment durable; the WAL
 		// layer has rolled back or poisoned itself, so nothing was
 		// acked and nothing may proceed.
-		undo()
 		f.failed = true
 		f.failReason = "sequencer append: " + err.Error()
 		f.mu.Unlock()
@@ -478,16 +362,23 @@ func (f *fleetIngest) submit(ctx context.Context, clientID string, muts []graph.
 		// been fanned out. Boot replay must repair it.
 		hook(seq)
 	}
-	f.commitBatch(seq, clientID, items, deltas)
-	st := f.pending[seq] // may already be gone for a zero-shard batch
-	for _, item := range items {
-		for _, rs := range f.shardSenders[item.shard] {
-			rs.enqueue(item)
-		}
+	if err := f.commit(seq, clientID, muts, body); err != nil {
+		// Unreachable while Check and Apply agree (FuzzOverlayCheck): the
+		// sequence is durable but the overlay took only part of it.
+		f.failed = true
+		f.failReason = fmt.Sprintf("applying sequenced batch %d: %v", seq, err)
+		f.mu.Unlock()
+		return 0, false, 0, 0, &fleetError{status: http.StatusInternalServerError, code: "fleet_failed",
+			msg: "fleet ingest is latched failed and requires a router restart: " + f.failReason}
+	}
+	st := f.pending[seq]
+	item := f.history[len(f.history)-1]
+	for _, rs := range f.senders {
+		rs.enqueue(item)
 	}
 	f.mu.Unlock()
 	f.s.stats.ingestBatches.Add(1)
-	return f.awaitAck(ctx, seq, false, len(items), st)
+	return f.awaitAck(ctx, seq, false, f.s.numShards, st)
 }
 
 // awaitAck blocks until seq is fully confirmed, the context dies, or
@@ -519,32 +410,22 @@ func (f *fleetIngest) partialApply(seq uint64, shards int) (uint64, bool, int, u
 	f.s.stats.ingestPartial.Add(1)
 	return 0, false, 0, 0, &fleetError{
 		status: http.StatusServiceUnavailable, code: "fleet_partial_apply",
-		msg:       fmt.Sprintf("batch %d is durably sequenced but not yet confirmed by every affected shard; the router is repairing stragglers in the background — do not re-submit under a new batch_id (fleet watermark %d)", seq, wm),
+		msg:       fmt.Sprintf("batch %d is durably sequenced but not yet confirmed by every replica; the router is repairing stragglers in the background — do not re-submit under a new batch_id (fleet watermark %d)", seq, wm),
 		watermark: wm,
 	}
 }
 
-// watermarkNow returns the current fleet watermark.
-func (f *fleetIngest) watermarkNow() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.watermark
-}
-
 // memStats reports the fleet sequencer's retention footprint for
-// /debug/stats: sequencer log bytes on disk, retained (untrimmed)
-// history items and body bytes across all shard chains, and the size
-// of the client idempotency index.
-func (f *fleetIngest) memStats() (seqlogBytes int64, historyItems int, historyBytes int64, ackedIndex int) {
+// /debug/stats: sequencer log bytes on disk, retained (untrimmed) chain
+// items and body bytes, the size of the client idempotency index, and
+// the edge entries the overlay holds.
+func (f *fleetIngest) memStats() (seqlogBytes int64, historyItems int, historyBytes int64, ackedIndex, overlayEdges int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, chain := range f.history {
-		historyItems += len(chain)
-	}
-	return f.log.Size(), historyItems, f.historyBytes, len(f.acked)
+	return f.log.Size(), len(f.history), f.historyBytes, len(f.acked), f.overlay.EdgeEdits()
 }
 
-// replicaSender delivers one replica's sub-batch stream strictly in
+// replicaSender delivers the fleet chain to one replica strictly in
 // fleet order: a dedicated goroutine drains an ordered queue, retrying
 // each item with backoff until the replica confirms it (or reports a
 // gap, which splices the missed chain suffix in front). One slow or
@@ -639,7 +520,7 @@ func (rs *replicaSender) deliver(item *fanItem) {
 		case deliverGap:
 			return // splice already rearranged the queue
 		case deliverPoison:
-			f.latchFailed(fmt.Sprintf("replica %s rejected sequenced sub-batch %d for shard %d as invalid", rs.rep.url, item.seq, item.shard))
+			f.latchFailed(fmt.Sprintf("replica %s of shard %d rejected sequenced batch %d as invalid", rs.rep.url, rs.sh.idx, item.seq))
 			return
 		}
 		if hint > backoff {
@@ -689,7 +570,7 @@ func (rs *replicaSender) attempt(item *fanItem) (deliverOutcome, time.Duration) 
 		return deliverConfirmed, 0
 	case resp.StatusCode == http.StatusConflict:
 		// Gap: the replica's watermark is behind this item's chain
-		// predecessor. Splice the missed suffix of this shard's chain in
+		// predecessor. Splice the missed suffix of the chain in
 		// front and let the queue deliver it in order.
 		rs.rep.reportSuccess()
 		var body struct {
@@ -702,15 +583,16 @@ func (rs *replicaSender) attempt(item *fanItem) (deliverOutcome, time.Duration) 
 		}
 		f.s.stats.ingestGapReplays.Add(1)
 		f.mu.Lock()
-		missed := f.chainBetween(item.shard, body.Watermark, item.seq)
+		missed := f.chainBetween(body.Watermark, item.seq)
 		f.mu.Unlock()
 		f.s.logf("router: replica %s shard %d at watermark %d needs %d-item replay before seq %d",
-			rs.rep.url, item.shard, body.Watermark, len(missed), item.seq)
+			rs.rep.url, rs.sh.idx, body.Watermark, len(missed), item.seq)
 		rs.splice(missed, item)
 		return deliverGap, 0
 	case resp.StatusCode == http.StatusBadRequest || resp.StatusCode == http.StatusForbidden:
-		// The sub-batch was validated fleet-wide before sequencing; a
-		// follower calling it malformed means state has diverged.
+		// The batch was checked against the fleet graph before
+		// sequencing; a follower calling it malformed holds another
+		// graph (a halo-cut store from an older partitioner, say).
 		rs.rep.reportSuccess()
 		return deliverPoison, 0
 	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
@@ -725,13 +607,13 @@ func (rs *replicaSender) attempt(item *fanItem) (deliverOutcome, time.Duration) 
 
 // confirmThrough records that this replica confirmed item — and, by
 // the follower's strict in-order application, every earlier item of
-// this shard's chain too. Each newly confirmed (seq, replica) pair
-// decrements the batch's outstanding count; the last replica of the
-// last shard completes the batch and may advance the fleet watermark.
+// the chain too. Each newly confirmed (seq, replica) pair decrements
+// the batch's outstanding count; the last replica completes the batch
+// and may advance the fleet watermark.
 func (rs *replicaSender) confirmThrough(item *fanItem) {
 	f := rs.f
 	f.mu.Lock()
-	for _, h := range f.chainBetween(item.shard, rs.confirmedSeq, item.seq+1) {
+	for _, h := range f.chainBetween(rs.confirmedSeq, item.seq+1) {
 		if st := f.pending[h.seq]; st != nil {
 			if st.remaining--; st.remaining == 0 {
 				f.completeLocked(h.seq, st)
@@ -741,40 +623,38 @@ func (rs *replicaSender) confirmThrough(item *fanItem) {
 	if item.seq > rs.confirmedSeq {
 		rs.confirmedSeq = item.seq
 	}
-	f.trimHistoryLocked(item.shard)
+	f.trimHistoryLocked()
 	f.mu.Unlock()
 }
 
-// trimHistoryLocked drops the prefix of shard sh's chain that every
-// replica of the shard has confirmed. A trimmed item can never be
-// replayed again: a gap answer carries the replica's durable watermark,
-// which is at least its confirmedSeq here, so every replay window
-// chainBetween can be asked for starts above the trim point. The slice
-// is copied so the dropped bodies are actually released. Caller holds
-// f.mu.
-func (f *fleetIngest) trimHistoryLocked(sh int) {
+// trimHistoryLocked drops the prefix of the chain that every replica
+// has confirmed. A trimmed item can never be replayed again: a gap
+// answer carries the replica's durable watermark, which is at least its
+// confirmedSeq here, so every replay window chainBetween can be asked
+// for starts above the trim point. The slice is copied so the dropped
+// bodies are actually released. Caller holds f.mu.
+func (f *fleetIngest) trimHistoryLocked() {
 	min := uint64(0)
-	for i, rs := range f.shardSenders[sh] {
+	for i, rs := range f.senders {
 		if i == 0 || rs.confirmedSeq < min {
 			min = rs.confirmedSeq
 		}
 	}
-	chain := f.history[sh]
 	cut := 0
-	for cut < len(chain) && chain[cut].seq <= min {
-		f.historyBytes -= int64(len(chain[cut].body))
+	for cut < len(f.history) && f.history[cut].seq <= min {
+		f.historyBytes -= int64(len(f.history[cut].body))
 		cut++
 	}
 	if cut == 0 {
 		return
 	}
-	f.history[sh] = append([]*fanItem(nil), chain[cut:]...)
+	f.history = append([]*fanItem(nil), f.history[cut:]...)
 }
 
 // IngestResponse is the router's POST /v1/ingest ack: the fleet
-// sequence, how many shards the batch touched, and the fleet watermark
-// at ack time. Sent only once every replica of every affected shard
-// has durably applied the batch.
+// sequence, the shard count (every batch reaches every shard), and the
+// fleet watermark at ack time. Sent only once every replica of every
+// shard has durably applied the batch.
 type IngestResponse struct {
 	FleetSeq  uint64 `json:"fleet_seq"`
 	Replayed  bool   `json:"replayed,omitempty"`

@@ -19,40 +19,47 @@ import (
 	"hsgf/internal/store"
 )
 
-// buildIngestFleet partitions g and boots replicas live follower-mode
-// ingest daemons per shard: real serve.Servers over real ingest.Engines
-// seeded with each shard's plan graph, behind httptest listeners.
-func buildIngestFleet(t *testing.T, g *graph.Graph, opts core.Options, nShards, haloDepth, replicas int) *testFleet {
+// ingestReplica boots one live follower-mode ingest daemon over seed: a
+// real serve.Server over a real ingest.Engine, behind an httptest
+// listener.
+func ingestReplica(t *testing.T, seed *graph.Graph, opts core.Options) (*serve.Server, *httptest.Server) {
 	t.Helper()
-	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: nShards, HaloDepth: haloDepth})
+	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &testFleet{manifest: BuildManifest(g.NumNodes(), haloDepth, plans)}
-	for si, p := range plans {
+	// Follower-mode engines take the raised fleet mutation cap, exactly
+	// as cmd/hsgfd wires -fleet-follower.
+	eng, err := ingest.Open(ingest.Config{Store: st, Opts: opts, MaxBatchMutations: ingest.FleetMaxBatchMutations},
+		func() (*graph.Graph, error) { return seed, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	_, ex, _, gen, _ := eng.State()
+	ss := serve.NewServerSnapshot(&serve.Snapshot{Extractor: ex, Generation: gen, Source: "ingest"}, serve.Config{})
+	ss.SetIngestor(eng, "ingest")
+	ss.SetFleetFollower(true)
+	ts := httptest.NewServer(ss.Handler())
+	t.Cleanup(ts.Close)
+	return ss, ts
+}
+
+// buildIngestFleet partitions g and boots replicas follower-mode ingest
+// daemons per shard, each seeded with the whole graph.
+func buildIngestFleet(t *testing.T, g *graph.Graph, opts core.Options, nShards, replicas int) *testFleet {
+	t.Helper()
+	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: nShards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &testFleet{manifest: BuildManifest(g.NumNodes(), 0, plans)}
+	for _, p := range plans {
 		var shardURLs []string
 		var shardBackends []*httptest.Server
 		var shardServers []*serve.Server
 		for r := 0; r < replicas; r++ {
-			st, err := store.Open(t.TempDir(), store.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			seed := p.Graph
-			// Follower-mode engines take the raised fleet mutation cap,
-			// exactly as cmd/hsgfd wires -fleet-follower.
-			eng, err := ingest.Open(ingest.Config{Store: st, Opts: opts, MaxBatchMutations: ingest.FleetMaxBatchMutations},
-				func() (*graph.Graph, error) { return seed, nil })
-			if err != nil {
-				t.Fatalf("shard %d replica %d engine: %v", si, r, err)
-			}
-			t.Cleanup(func() { eng.Close() })
-			_, ex, _, gen, _ := eng.State()
-			ss := serve.NewServerSnapshot(&serve.Snapshot{Extractor: ex, Generation: gen, Source: "ingest"}, serve.Config{})
-			ss.SetIngestor(eng, "ingest")
-			ss.SetFleetFollower(true)
-			ts := httptest.NewServer(ss.Handler())
-			t.Cleanup(ts.Close)
+			ss, ts := ingestReplica(t, p.Graph, opts)
 			shardURLs = append(shardURLs, ts.URL)
 			shardBackends = append(shardBackends, ts)
 			shardServers = append(shardServers, ss)
@@ -73,18 +80,7 @@ func ingestConfig(t *testing.T, f *testFleet, g *graph.Graph) Config {
 }
 
 func ingestBody(batchID string, muts ...string) string {
-	return fmt.Sprintf(`{"batch_id":%q,"mutations":[%s]}`, batchID, joinComma(muts))
-}
-
-func joinComma(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ","
-		}
-		out += p
-	}
-	return out
+	return fmt.Sprintf(`{"batch_id":%q,"mutations":[%s]}`, batchID, strings.Join(muts, ","))
 }
 
 func edgeMut(u, v int64) string { return fmt.Sprintf(`{"op":"add_edge","u":%d,"v":%d}`, u, v) }
@@ -109,7 +105,7 @@ func TestRouterIngestContract(t *testing.T) {
 
 	g := fleetTestGraph(t, 60, 3)
 	opts := core.Options{MaxEdges: 2}
-	f := buildIngestFleet(t, g, opts, 2, opts.MaxEdges, 1)
+	f := buildIngestFleet(t, g, opts, 2, 1)
 	rt := newTestRouter(t, ingestConfig(t, f, g))
 	defer rt.Close()
 
@@ -149,12 +145,12 @@ func TestRouterIngestContract(t *testing.T) {
 // or a false ack.
 func TestRouterIngestUnreachableShardAnswers503Watermark(t *testing.T) {
 	g := fleetTestGraph(t, 60, 3)
-	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: 2, HaloDepth: 2})
+	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := &testFleet{
-		manifest: BuildManifest(g.NumNodes(), 2, plans),
+		manifest: BuildManifest(g.NumNodes(), 0, plans),
 		urls:     [][]string{{"http://127.0.0.1:1"}, {"http://127.0.0.1:1"}},
 	}
 	cfg := ingestConfig(t, f, g)
@@ -177,10 +173,10 @@ func TestRouterIngestUnreachableShardAnswers503Watermark(t *testing.T) {
 		t.Fatalf("body = %+v, want fleet_partial_apply at watermark 0", body)
 	}
 
-	// Routing-table growth is deferred until the fleet confirms the
-	// batch: the sequenced-but-unconfirmed add_node must NOT be admitted
-	// as a /v1/features root, or the router would route it to replicas
-	// that have not applied it.
+	// The fleet node count grows only when the fleet confirms the batch:
+	// the sequenced-but-unconfirmed add_node must NOT be admitted as a
+	// /v1/features root, or the router would route it to replicas that
+	// have not applied it.
 	var meta MetaResponse
 	routerDo(t, rt, http.MethodGet, "/v1/meta", "", &meta)
 	if meta.NumNodes != 60 {
@@ -199,7 +195,7 @@ func TestRouterIngestUnreachableShardAnswers503Watermark(t *testing.T) {
 func TestRouterFleetIngestEndToEnd(t *testing.T) {
 	g := fleetTestGraph(t, 120, 11)
 	opts := core.Options{MaxEdges: 2, MaskRootLabel: true}
-	f := buildIngestFleet(t, g, opts, 3, opts.MaxEdges, 1)
+	f := buildIngestFleet(t, g, opts, 3, 1)
 	rt := newTestRouter(t, ingestConfig(t, f, g))
 	defer rt.Close()
 
@@ -297,9 +293,10 @@ func TestRouterFleetIngestEndToEnd(t *testing.T) {
 	}
 
 	// The fleet watermark survives in /debug/stats, and the retention
-	// gauges show the sub-batch history fully trimmed: every replica of
-	// every shard confirmed every chain item before its batch was acked,
-	// so nothing remains replayable.
+	// gauges show the chain fully trimmed: every replica of every shard
+	// confirmed every chain item before its batch was acked, so nothing
+	// remains replayable. The overlay holds the three edge entries b1-b3
+	// added; b4 removed b1's edge, which drops its entry.
 	var stats StatsResponse
 	routerDo(t, rt, http.MethodGet, "/debug/stats", "", &stats)
 	if stats.FleetWatermark != 4 || stats.IngestBatches != 4 || stats.IngestReplayed != 1 {
@@ -309,50 +306,51 @@ func TestRouterFleetIngestEndToEnd(t *testing.T) {
 		t.Fatalf("history not trimmed after full confirmation: %d items, %d bytes",
 			stats.FleetHistoryItems, stats.FleetHistoryBytes)
 	}
-	if stats.FleetSeqlogBytes <= 0 || stats.FleetAckedIndex != 4 {
-		t.Fatalf("retention gauges = seqlog %d bytes, acked index %d; want positive seqlog and 4 acked IDs",
-			stats.FleetSeqlogBytes, stats.FleetAckedIndex)
+	if stats.FleetSeqlogBytes <= 0 || stats.FleetAckedIndex != 4 || stats.FleetOverlayEdges != 2 {
+		t.Fatalf("retention gauges = seqlog %d bytes, acked index %d, overlay edges %d; want positive seqlog, 4 acked IDs, 2 edges",
+			stats.FleetSeqlogBytes, stats.FleetAckedIndex, stats.FleetOverlayEdges)
 	}
 }
 
-// TestRouterIngestSubBatchLimit: a client batch whose per-shard
-// sub-batches (halo repair included) would exceed the follower limits
-// is refused with 400 batch_too_large BEFORE taking a fleet sequence —
-// a follower rejecting a sequenced sub-batch would latch fleet ingest
-// failed on every boot. The refusal must roll the membership map back
-// so the next admissible batch resolves exactly as if the oversized one
-// never arrived.
-func TestRouterIngestSubBatchLimit(t *testing.T) {
+// TestRouterIngestBatchLimit: a client batch over the followers' caps —
+// ingest.FleetMaxBatchMutations mutations, or a follower body past
+// serve.FleetMaxRequestBody once the router re-encodes it — is refused
+// with 400 batch_too_large BEFORE taking a fleet sequence: a follower
+// rejecting a sequenced batch would latch fleet ingest failed on every
+// boot. The refusal leaves the overlay untouched, so the next admissible
+// batch under the same client ID takes seq 1.
+func TestRouterIngestBatchLimit(t *testing.T) {
 	g := fleetTestGraph(t, 60, 3)
 	opts := core.Options{MaxEdges: 2}
-	f := buildIngestFleet(t, g, opts, 2, opts.MaxEdges, 1)
+	f := buildIngestFleet(t, g, opts, 2, 1)
 
-	// Two relabels of the same node always land in the same sub-batch
-	// (its owner shard carries both), so the mutation cap of 1 is
-	// guaranteed to trip; an add_node whose name alone dwarfs the byte
-	// cap trips that regardless of shard assignment. The admissible
-	// retry is a single short relabel: it never triggers halo repair, so
-	// every sub-batch carries exactly one small mutation.
+	relabels := make([]string, ingest.FleetMaxBatchMutations+1)
+	for i := range relabels {
+		relabels[i] = `{"op":"relabel","u":0,"label":"b"}`
+	}
+	// encoding/json writes '<' as \u003c, so names of '<' re-encode
+	// six-fold: this body is under 2 MiB, the router's re-encoding past
+	// 8 MiB.
+	named := make([]string, 400)
+	for i := range named {
+		named[i] = fmt.Sprintf(`{"op":"add_node","label":"a","name":"%s"}`, strings.Repeat("<", 4096))
+	}
 	for _, tc := range []struct {
-		name, body string
-		tune       func(cfg *Config)
+		name string
+		muts []string
 	}{
-		{"mutation cap",
-			ingestBody("big", `{"op":"relabel","u":0,"label":"b"}`, `{"op":"relabel","u":0,"label":"c"}`),
-			func(cfg *Config) { cfg.MaxSubBatchMutations = 1 }},
-		{"byte cap",
-			ingestBody("big", fmt.Sprintf(`{"op":"add_node","label":"a","name":%q}`, strings.Repeat("n", 1000))),
-			func(cfg *Config) { cfg.MaxSubBatchBytes = 256 }},
+		{"mutation_cap", relabels},
+		{"byte_cap", named},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := ingestConfig(t, f, g)
-			tc.tune(&cfg)
-			rt := newTestRouter(t, cfg)
+			rt := newTestRouter(t, ingestConfig(t, f, g))
 			defer rt.Close()
+			var before StatsResponse
+			routerDo(t, rt, http.MethodGet, "/debug/stats", "", &before)
 
-			w := routerDo(t, rt, http.MethodPost, "/v1/ingest", tc.body, nil)
+			w := routerDo(t, rt, http.MethodPost, "/v1/ingest", ingestBody("big", tc.muts...), nil)
 			if w.Code != http.StatusBadRequest {
-				t.Fatalf("oversized batch: status %d, want 400 (%s)", w.Code, w.Body.String())
+				t.Fatalf("oversized batch: status %d, want 400 (%.300s)", w.Code, w.Body.String())
 			}
 			var e struct {
 				Reason string `json:"reason"`
@@ -362,12 +360,11 @@ func TestRouterIngestSubBatchLimit(t *testing.T) {
 			}
 			var stats StatsResponse
 			routerDo(t, rt, http.MethodGet, "/debug/stats", "", &stats)
-			if stats.IngestBatches != 0 || stats.FleetWatermark != 0 || stats.IngestRejected != 1 {
+			if stats.IngestBatches != 0 || stats.FleetWatermark != 0 || stats.IngestRejected != 1 || stats.FleetSeqlogBytes != before.FleetSeqlogBytes {
 				t.Fatalf("refusal consumed fleet state: %+v", stats)
 			}
 			// A retry of the same client ID with an admissible batch is NOT
-			// treated as a duplicate (nothing was sequenced), takes seq 1,
-			// and applies cleanly against the rolled-back membership map.
+			// treated as a duplicate (nothing was sequenced) and takes seq 1.
 			var res IngestResponse
 			w = routerDo(t, rt, http.MethodPost, "/v1/ingest",
 				ingestBody("big", `{"op":"relabel","u":0,"label":"a"}`), &res)
@@ -378,6 +375,79 @@ func TestRouterIngestSubBatchLimit(t *testing.T) {
 	}
 }
 
+// TestRouterIngestHaloCutFollowerLatchesFailed: a follower whose store
+// holds a halo-cut shard graph (the layout of older partitioners, a
+// renumbered induced sub-graph) must refuse fleet batches with 400 and
+// apply nothing, and the router must latch fleet ingest failed rather
+// than keep feeding it.
+func TestRouterIngestHaloCutFollowerLatchesFailed(t *testing.T) {
+	g := fleetTestGraph(t, 60, 3)
+	opts := core.Options{MaxEdges: 2}
+	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shard 1's old cut: its owned roots plus their neighbours.
+	var members []graph.NodeID
+	in := make([]bool, g.NumNodes())
+	for _, r := range plans[1].OwnedRoots {
+		for _, v := range append([]graph.NodeID{r}, g.Neighbors(r)...) {
+			if !in[v] {
+				in[v] = true
+				members = append(members, v)
+			}
+		}
+	}
+	cut, _ := graph.Induced(g, members)
+	if cut.NumNodes() >= g.NumNodes() {
+		t.Fatalf("halo cut holds %d of %d nodes; the test needs a proper sub-graph", cut.NumNodes(), g.NumNodes())
+	}
+	_, wholeTS := ingestReplica(t, g, opts)
+	halo, haloTS := ingestReplica(t, cut, opts)
+	f := &testFleet{manifest: BuildManifest(g.NumNodes(), 0, plans), urls: [][]string{{wholeTS.URL}, {haloTS.URL}}}
+	cfg := ingestConfig(t, f, g)
+	cfg.IngestAckTimeout = 200 * time.Millisecond
+	rt := newTestRouter(t, cfg)
+	defer rt.Close()
+
+	if w := routerDo(t, rt, http.MethodPost, "/v1/ingest", ingestBody("b1", edgeMut(0, 59)), nil); w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("batch the halo-cut follower refuses: status %d, want 503 (%s)", w.Code, w.Body.String())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		w := routerDo(t, rt, http.MethodPost, "/v1/ingest", ingestBody("b2", edgeMut(1, 59)), nil)
+		var e struct {
+			Reason string `json:"reason"`
+		}
+		_ = json.Unmarshal(w.Body.Bytes(), &e)
+		if w.Code == http.StatusInternalServerError && e.Reason == "fleet_failed" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("router did not latch failed: %d %s", w.Code, w.Body.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	applied := func(ts *httptest.Server) uint64 {
+		var st serve.StatsSnapshot
+		resp, err := http.Get(ts.URL + "/debug/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Ingest.Applied
+	}
+	if n := applied(haloTS); n != 0 || halo.Snapshot().Extractor.Graph().NumNodes() != cut.NumNodes() {
+		t.Fatalf("the halo-cut follower applied %d fleet batches", n)
+	}
+	if n := applied(wholeTS); n != 1 {
+		t.Fatalf("the whole-graph follower applied %d batches, want 1", n)
+	}
+}
+
 // TestRouterIngestBootReplayRecoversSequencedBatches: a router killed
 // after sequencing but before fan-out must, on restart over the same
 // sequencer log, replay the batch to the fleet — the durable sequence
@@ -385,7 +455,7 @@ func TestRouterIngestSubBatchLimit(t *testing.T) {
 func TestRouterIngestBootReplayRecoversSequencedBatches(t *testing.T) {
 	g := fleetTestGraph(t, 80, 5)
 	opts := core.Options{MaxEdges: 2}
-	f := buildIngestFleet(t, g, opts, 2, opts.MaxEdges, 1)
+	f := buildIngestFleet(t, g, opts, 2, 1)
 	cfg := ingestConfig(t, f, g)
 
 	// First router life: sequence two batches but crash (SequenceHook
@@ -444,7 +514,7 @@ func TestRouterIngestBootReplayRecoversSequencedBatches(t *testing.T) {
 // to boot on it rather than re-sequence over the hole.
 func TestRouterRefusesGappedSequencerLog(t *testing.T) {
 	g := fleetTestGraph(t, 40, 1)
-	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: 2, HaloDepth: 1})
+	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +536,7 @@ func TestRouterRefusesGappedSequencerLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = New(Config{
-		Manifest:    BuildManifest(g.NumNodes(), 1, plans),
+		Manifest:    BuildManifest(g.NumNodes(), 0, plans),
 		Shards:      [][]string{{"http://127.0.0.1:1"}, {"http://127.0.0.1:1"}},
 		SeqLogPath:  path,
 		IngestGraph: g,

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"hsgf/internal/graph"
-	"hsgf/internal/ingest"
 	"hsgf/internal/retry"
 	"hsgf/internal/serve"
 )
@@ -62,26 +61,15 @@ type Config struct {
 
 	// SeqLogPath and IngestGraph together enable fleet ingest: the
 	// router sequences POST /v1/ingest batches through a CRC-framed
-	// sequencer WAL at SeqLogPath and resolves shard fan-out against
-	// IngestGraph (the same graph the fleet was partitioned from). With
-	// either unset the router keeps its explicit 501 for ingest.
+	// sequencer WAL at SeqLogPath and checks them against IngestGraph
+	// (the graph the fleet was partitioned from). With either unset the
+	// router keeps its explicit 501 for ingest.
 	SeqLogPath  string
 	IngestGraph *graph.Graph
 	// IngestAckTimeout bounds how long a client waits for full-fleet
 	// confirmation before getting 503 fleet_partial_apply (the batch
 	// still converges in the background). Default 10s.
 	IngestAckTimeout time.Duration
-	// MaxSubBatchMutations / MaxSubBatchBytes bound one shard's
-	// sub-batch of a sequenced fleet batch — mutation count (halo repair
-	// included) and marshalled body size. They must not exceed the
-	// follower fleet limits (ingest.FleetMaxBatchMutations /
-	// serve.FleetMaxRequestBody, the defaults): a client batch whose
-	// sub-batches would overflow them is refused with 400
-	// batch_too_large BEFORE it takes a fleet sequence, because a
-	// follower rejecting an already-sequenced sub-batch would latch
-	// fleet ingest failed — and re-latch it on every boot replay.
-	MaxSubBatchMutations int
-	MaxSubBatchBytes     int
 	// SequenceHook, when non-nil, runs after a batch's sequence is
 	// durable but before fan-out — the smoke suite's crash seam.
 	SequenceHook func(seq uint64)
@@ -135,12 +123,6 @@ func (c *Config) withDefaults() {
 	if c.IngestAckTimeout <= 0 {
 		c.IngestAckTimeout = 10 * time.Second
 	}
-	if c.MaxSubBatchMutations <= 0 {
-		c.MaxSubBatchMutations = ingest.FleetMaxBatchMutations
-	}
-	if c.MaxSubBatchBytes <= 0 {
-		c.MaxSubBatchBytes = serve.FleetMaxRequestBody
-	}
 	if c.ReloadTimeout <= 0 {
 		c.ReloadTimeout = 2 * time.Minute
 	}
@@ -152,11 +134,8 @@ func (c *Config) withDefaults() {
 // Server is the routing tier: one process fronting NumShards replica
 // sets of hsgfd shard workers.
 type Server struct {
-	cfg Config
-	// numShards and haloDepth are the manifest's; the manifest itself,
-	// with its per-shard ID tables, is not kept past New.
+	cfg       Config
 	numShards int
-	haloDepth int
 	shards    []*shard
 	client    *http.Client
 	stats     routerStats
@@ -178,11 +157,9 @@ type Server struct {
 }
 
 // New builds a router over cfg.Manifest and cfg.Shards. The manifest is
-// re-validated; replica counts may differ per shard but every shard
-// needs at least one. The router keeps no reference to the manifest:
-// its ID tables are read into the shards' dense lookup tables (and,
-// with fleet ingest, cross-checked against the ingest graph) here, and
-// are garbage once the caller drops them.
+// re-validated (a version-1 or version-2 manifest fails with
+// ErrOldManifest); replica counts may differ per shard but every shard
+// needs at least one.
 func New(cfg Config) (*Server, error) {
 	m := cfg.Manifest
 	if m == nil {
@@ -200,7 +177,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		numShards: m.NumShards,
-		haloDepth: m.HaloDepth,
 		client: &http.Client{
 			Transport: cfg.Transport,
 			// Per-call contexts bound every request; no global timeout.
@@ -212,7 +188,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("router: shard %d has no replicas", i)
 		}
 		sh := &shard{idx: i, brk: serve.NewBreaker(cfg.Breaker)}
-		sh.setIDs(m.Shards[i].LocalToGlobal, m.NumNodes)
 		for _, url := range cfg.Shards[i] {
 			sh.replicas = append(sh.replicas, newReplica(url))
 		}
@@ -324,7 +299,7 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	if err != nil {
 		return err
 	}
-	s.logf("router: listening on %s (%d shards, halo depth %d)", ln.Addr(), s.numShards, s.haloDepth)
+	s.logf("router: listening on %s (%d shards)", ln.Addr(), s.numShards)
 	return s.Serve(ctx, ln)
 }
 
@@ -437,8 +412,7 @@ func (s *Server) handleFeatures(w http.ResponseWriter, r *http.Request) {
 		}(si, b)
 	}
 
-	// Gather: each row is forwarded as the replica wrote it, with the
-	// root rewritten to its global ID (callShard already did that).
+	// Gather: each row is forwarded as the replica wrote it.
 	rows := make([]splicedRow, len(req.Roots))
 	reports := make([]ShardReport, 0, len(batches))
 	degraded := false
@@ -487,7 +461,6 @@ func derefString(p *string) string {
 // and per-replica health/generation view.
 type MetaResponse struct {
 	NumShards int              `json:"num_shards"`
-	HaloDepth int              `json:"halo_depth"`
 	NumNodes  int              `json:"num_nodes"`
 	Shards    []ShardMetaEntry `json:"shards"`
 }
@@ -508,7 +481,7 @@ type ReplicaMeta struct {
 }
 
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
-	resp := MetaResponse{NumShards: s.numShards, HaloDepth: s.haloDepth, NumNodes: int(s.numNodes.Load())}
+	resp := MetaResponse{NumShards: s.numShards, NumNodes: int(s.numNodes.Load())}
 	for _, sh := range s.shards {
 		entry := ShardMetaEntry{Shard: sh.idx, Breaker: sh.brk.State().String()}
 		p95, _ := sh.lat.Quantile(0.95)

@@ -48,8 +48,7 @@ func fleetTestGraph(t testing.TB, n int, seed int64) *graph.Graph {
 }
 
 // testFleet is an in-process shard fleet: real serve.Servers behind
-// httptest listeners, one per replica, over halo-partitioned shard
-// graphs.
+// httptest listeners, one per replica, each serving the whole graph.
 type testFleet struct {
 	manifest *Manifest
 	urls     [][]string
@@ -57,15 +56,15 @@ type testFleet struct {
 	servers  [][]*serve.Server
 }
 
-// buildFleet partitions g into nShards shards with haloDepth and boots
-// replicas serve.Servers per shard.
-func buildFleet(t *testing.T, g *graph.Graph, opts core.Options, nShards, haloDepth, replicas int) *testFleet {
+// buildFleet partitions g into nShards shards and boots replicas
+// serve.Servers per shard.
+func buildFleet(t *testing.T, g *graph.Graph, opts core.Options, nShards, replicas int) *testFleet {
 	t.Helper()
-	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: nShards, HaloDepth: haloDepth})
+	plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: nShards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &testFleet{manifest: BuildManifest(g.NumNodes(), haloDepth, plans)}
+	f := &testFleet{manifest: BuildManifest(g.NumNodes(), 0, plans)}
 	for _, p := range plans {
 		var shardURLs []string
 		var shardBackends []*httptest.Server
@@ -130,13 +129,12 @@ func featuresBody(roots []int64) string {
 
 // TestScatterGatherMatchesSingleProcess is the acceptance-criteria
 // differential test: a mixed-root batch answered by the router over a
-// halo-partitioned fleet must be byte-equivalent, row by row, to the
+// partitioned fleet must be byte-equivalent, row by row, to the
 // same batch answered by one hsgfd over the full graph.
 func TestScatterGatherMatchesSingleProcess(t *testing.T) {
 	g := fleetTestGraph(t, 400, 7)
 	opts := core.Options{MaxEdges: 3, MaskRootLabel: true}
-	// Halo depth = emax is exact without dmax.
-	f := buildFleet(t, g, opts, 4, opts.MaxEdges, 1)
+	f := buildFleet(t, g, opts, 4, 1)
 	rt := newTestRouter(t, fastConfig(f))
 
 	fullEx, err := core.NewExtractor(g, opts)
@@ -184,11 +182,12 @@ func TestScatterGatherMatchesSingleProcess(t *testing.T) {
 }
 
 // TestScatterGatherMatchesWithDmax repeats the differential over a
-// dmax-pruned extraction, where exactness needs halo depth emax+1.
+// dmax-pruned extraction, whose census reads the full-graph degree of
+// every node entering a subgraph.
 func TestScatterGatherMatchesWithDmax(t *testing.T) {
 	g := fleetTestGraph(t, 300, 11)
 	opts := core.Options{MaxEdges: 3, MaxDegree: 8}
-	f := buildFleet(t, g, opts, 3, opts.MaxEdges+1, 1)
+	f := buildFleet(t, g, opts, 3, 1)
 	rt := newTestRouter(t, fastConfig(f))
 
 	fullEx, err := core.NewExtractor(g, opts)
@@ -227,7 +226,7 @@ func TestScatterGatherMatchesWithDmax(t *testing.T) {
 func TestShardFailurePartialResults(t *testing.T) {
 	g := fleetTestGraph(t, 200, 3)
 	opts := core.Options{MaxEdges: 2}
-	f := buildFleet(t, g, opts, 3, opts.MaxEdges, 1)
+	f := buildFleet(t, g, opts, 3, 1)
 	rt := newTestRouter(t, fastConfig(f))
 
 	const deadShard = 1
@@ -280,7 +279,7 @@ func TestShardFailurePartialResults(t *testing.T) {
 func TestFailoverToSecondReplica(t *testing.T) {
 	g := fleetTestGraph(t, 120, 5)
 	opts := core.Options{MaxEdges: 2}
-	f := buildFleet(t, g, opts, 1, opts.MaxEdges, 2)
+	f := buildFleet(t, g, opts, 1, 2)
 	rt := newTestRouter(t, fastConfig(f))
 
 	f.backends[0][0].Close()
@@ -303,19 +302,18 @@ func TestFailoverToSecondReplica(t *testing.T) {
 	}
 }
 
-// TestRouterReleasesManifest: New reads the manifest's ID tables into
-// the shards' dense lookup tables — and, with fleet ingest, cross-checks
-// them against the ingest graph — and keeps no reference to it, so a
-// manifest the caller drops is collected while the router lives on.
+// TestRouterReleasesManifest: New reads the manifest's counts and keeps
+// no reference to it, with or without fleet ingest, so a manifest the
+// caller drops is collected while the router lives on.
 func TestRouterReleasesManifest(t *testing.T) {
 	g := fleetTestGraph(t, 150, 29)
 	for _, fleetIngest := range []bool{false, true} {
 		t.Run(fmt.Sprintf("ingest=%v", fleetIngest), func(t *testing.T) {
-			plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: 2, HaloDepth: 2})
+			plans, err := graph.PartitionByRoot(g, graph.PartitionConfig{NumShards: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := BuildManifest(g.NumNodes(), 2, plans)
+			m := BuildManifest(g.NumNodes(), 0, plans)
 			collected := make(chan struct{})
 			runtime.SetFinalizer(m, func(*Manifest) { close(collected) })
 			cfg := Config{Manifest: m, Shards: [][]string{{"http://127.0.0.1:1"}, {"http://127.0.0.1:1"}}}
@@ -345,19 +343,9 @@ func TestRouterReleasesManifest(t *testing.T) {
 	}
 }
 
-// identityManifest maps a single shard over all n nodes (local == global).
+// identityManifest is a single shard over n nodes.
 func identityManifest(n int) *Manifest {
-	l2g := make(NodeIDs, n)
-	for i := range l2g {
-		l2g[i] = graph.NodeID(i)
-	}
-	return &Manifest{
-		Version:   manifestVersion,
-		NumShards: 1,
-		HaloDepth: 1,
-		NumNodes:  n,
-		Shards:    []ShardManifest{{Shard: 0, OwnedRoots: n, LocalToGlobal: l2g}},
-	}
+	return &Manifest{Version: manifestVersion, NumShards: 1, NumNodes: n}
 }
 
 // echoBackend is a scripted shard replica: it answers /v1/features with
@@ -568,7 +556,7 @@ func TestHedgeDelayPolicy(t *testing.T) {
 func TestBreakerShortCircuitsDeadShard(t *testing.T) {
 	g := fleetTestGraph(t, 60, 9)
 	opts := core.Options{MaxEdges: 2}
-	f := buildFleet(t, g, opts, 1, opts.MaxEdges, 1)
+	f := buildFleet(t, g, opts, 1, 1)
 	cfg := fastConfig(f)
 	cfg.Breaker = serve.BreakerConfig{Window: 4, MinSamples: 2, Cooldown: time.Minute}
 	rt := newTestRouter(t, cfg)
@@ -597,7 +585,7 @@ func TestBreakerShortCircuitsDeadShard(t *testing.T) {
 func TestFleetReloadFlipsEveryReplica(t *testing.T) {
 	g := fleetTestGraph(t, 100, 13)
 	opts := core.Options{MaxEdges: 2}
-	f := buildFleet(t, g, opts, 2, opts.MaxEdges, 2)
+	f := buildFleet(t, g, opts, 2, 2)
 	rt := newTestRouter(t, fastConfig(f))
 
 	for si := range f.servers {
@@ -639,7 +627,7 @@ func TestFleetReloadFlipsEveryReplica(t *testing.T) {
 func TestFleetReloadVerifyFailureFlipsNothing(t *testing.T) {
 	g := fleetTestGraph(t, 100, 17)
 	opts := core.Options{MaxEdges: 2}
-	f := buildFleet(t, g, opts, 2, opts.MaxEdges, 2)
+	f := buildFleet(t, g, opts, 2, 2)
 	rt := newTestRouter(t, fastConfig(f))
 
 	for si := range f.servers {
@@ -679,36 +667,63 @@ func TestFleetReloadVerifyFailureFlipsNothing(t *testing.T) {
 	}
 }
 
-// TestFleetReloadGenerationDisagreementAborts: replicas of one shard
-// verifying different generations (diverged stores) must abort.
+// TestFleetReloadGenerationDisagreementAborts: replicas verifying
+// different graphs (diverged stores) must abort, whether they are
+// replicas of one shard or of two: every shard serves the one graph.
 func TestFleetReloadGenerationDisagreementAborts(t *testing.T) {
-	g := fleetTestGraph(t, 100, 19)
-	opts := core.Options{MaxEdges: 2}
-	f := buildFleet(t, g, opts, 1, opts.MaxEdges, 2)
-	rt := newTestRouter(t, fastConfig(f))
-
-	for ri, ss := range f.servers[0] {
-		ss := ss
-		gen := uint64(7 + ri) // replica 1 claims generation 8
-		ss.SetReloader(func(ctx context.Context) (*serve.Snapshot, error) {
-			next := serve.NewSnapshot(ss.Snapshot().Extractor)
-			next.Generation = gen
-			return next, nil
+	for _, tc := range []struct {
+		name              string
+		shards, replicas  int
+		oddShard, oddRepl int // the replica that verifies another graph
+		sameGeneration    bool
+	}{
+		{"replicas of one shard", 1, 2, 0, 1, false},
+		// Shard 1 verifies another graph under the same generation
+		// number: only the fingerprint tells them apart.
+		{"two shards", 2, 1, 1, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := fleetTestGraph(t, 100, 19)
+			other, err := core.NewExtractor(fleetTestGraph(t, 101, 19), core.Options{MaxEdges: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := buildFleet(t, g, core.Options{MaxEdges: 2}, tc.shards, tc.replicas)
+			rt := newTestRouter(t, fastConfig(f))
+			for si := range f.servers {
+				for ri, ss := range f.servers[si] {
+					ss := ss
+					ex, gen := ss.Snapshot().Extractor, uint64(7)
+					if si == tc.oddShard && ri == tc.oddRepl {
+						ex = other
+						if !tc.sameGeneration {
+							gen = 8
+						}
+					}
+					ss.SetReloader(func(ctx context.Context) (*serve.Snapshot, error) {
+						next := serve.NewSnapshot(ex)
+						next.Generation = gen
+						return next, nil
+					})
+				}
+			}
+			w := routerDo(t, rt, http.MethodPost, "/v1/admin/reload", "", nil)
+			if w.Code != http.StatusBadGateway {
+				t.Fatalf("status %d, want 502 on disagreement", w.Code)
+			}
+			var resp FleetReloadResponse
+			_ = json.Unmarshal(w.Body.Bytes(), &resp)
+			if resp.Outcome != "verify_failed" || !strings.Contains(resp.Error, "disagree") {
+				t.Fatalf("outcome %q (%s), want verify_failed on disagreement", resp.Outcome, resp.Error)
+			}
+			for si := range f.servers {
+				for ri, ss := range f.servers[si] {
+					if gen := ss.Snapshot().Generation; gen != 0 {
+						t.Errorf("shard %d replica %d flipped to %d despite disagreement abort", si, ri, gen)
+					}
+				}
+			}
 		})
-	}
-	w := routerDo(t, rt, http.MethodPost, "/v1/admin/reload", "", nil)
-	if w.Code != http.StatusBadGateway {
-		t.Fatalf("status %d, want 502 on generation disagreement", w.Code)
-	}
-	var resp FleetReloadResponse
-	_ = json.Unmarshal(w.Body.Bytes(), &resp)
-	if resp.Outcome != "verify_failed" || !strings.Contains(resp.Error, "disagree") {
-		t.Fatalf("outcome %q (%s), want verify_failed on disagreement", resp.Outcome, resp.Error)
-	}
-	for ri, ss := range f.servers[0] {
-		if gen := ss.Snapshot().Generation; gen != 0 {
-			t.Errorf("replica %d flipped to %d despite disagreement abort", ri, gen)
-		}
 	}
 }
 
@@ -718,7 +733,7 @@ func TestFleetReloadGenerationDisagreementAborts(t *testing.T) {
 func TestReadyzDegradedSemantics(t *testing.T) {
 	g := fleetTestGraph(t, 80, 23)
 	opts := core.Options{MaxEdges: 2}
-	f := buildFleet(t, g, opts, 2, opts.MaxEdges, 1)
+	f := buildFleet(t, g, opts, 2, 1)
 	rt := newTestRouter(t, fastConfig(f))
 
 	if w := routerDo(t, rt, http.MethodGet, "/readyz", "", nil); w.Code != http.StatusOK {

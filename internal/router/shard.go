@@ -9,75 +9,23 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"hsgf/internal/graph"
 	"hsgf/internal/latency"
 	"hsgf/internal/retry"
 	"hsgf/internal/serve"
 )
 
 // shard is the router's client-side view of one partition: its replica
-// set, the global-to-local ID table from the manifest, a circuit breaker
-// guarding the whole replica set, and the latency histogram feeding the
-// hedging policy.
+// set, a circuit breaker guarding the whole replica set, and the latency
+// histogram feeding the hedging policy.
 type shard struct {
 	idx      int
 	replicas []*replica
 	brk      *serve.Breaker
 	lat      latency.Histogram // successful shard-call latencies
 	rr       atomic.Uint32     // round-robin replica cursor
-
-	// idMu guards g2l and members: fleet ingest adds new members as
-	// add_node mutations land while feature requests read concurrently.
-	idMu    sync.RWMutex
-	g2l     []int32 // global ID -> local ID; -1 where the global is no member
-	members int32   // member count, the next local ID growIDs assigns
-}
-
-// setIDs fills the ID table from the manifest's local-to-global list
-// over a graph of numNodes nodes, which Validate has checked it maps
-// into.
-func (sh *shard) setIDs(l2g []graph.NodeID, numNodes int) {
-	g2l := make([]int32, numNodes)
-	for i := range g2l {
-		g2l[i] = -1
-	}
-	for local, global := range l2g {
-		g2l[global] = int32(local)
-	}
-	sh.g2l, sh.members = g2l, int32(len(l2g))
-}
-
-// localOf translates a global node ID to this shard's local ID.
-func (sh *shard) localOf(global int64) (int64, bool) {
-	l := int32(-1)
-	sh.idMu.RLock()
-	if global >= 0 && global < int64(len(sh.g2l)) {
-		l = sh.g2l[global]
-	}
-	sh.idMu.RUnlock()
-	return int64(l), l >= 0
-}
-
-// growIDs adds newly ingested members: globals[i] becomes local ID
-// members+i, mirroring graph.ShardMap's deterministic assignment so the
-// router's table tracks every shard's own mapping exactly. A member is
-// either an existing node joining this shard's halo or a new node, whose
-// ID may lie past the table's end; the table grows to cover it. Growth
-// admits only non-members, so no local ID is reassigned.
-func (sh *shard) growIDs(globals []int64) {
-	sh.idMu.Lock()
-	for _, g := range globals {
-		for int64(len(sh.g2l)) <= g {
-			sh.g2l = append(sh.g2l, -1)
-		}
-		sh.g2l[g] = sh.members
-		sh.members++
-	}
-	sh.idMu.Unlock()
 }
 
 // healthyReplicas returns the currently-healthy replicas, excluding
@@ -122,9 +70,9 @@ func (e *shardError) Error() string {
 
 func (e *shardError) Unwrap() error { return e.err }
 
-// errAllReplicasDown is wrapped into the terminal error when a shard
-// call exhausts its retries; callers key partial-result degradation on
-// the wrapping shardError chain rather than this sentinel.
+// errNoReplicas is the permanent error of a hedged call against a shard
+// with no replicas to try; callers key partial-result degradation on
+// the call failing, not on this sentinel.
 var errNoReplicas = errors.New("router: shard has no replicas")
 
 // attemptOnce sends one POST /v1/features to one replica and classifies
@@ -336,11 +284,10 @@ func (s *Server) hedgedCall(ctx context.Context, sh *shard, body []byte) (*shard
 	}
 }
 
-// callShard resolves one shard's slice of a batch: translate global
-// roots to the shard's local IDs, run the hedged call under the shard's
-// breaker with bounded full-jitter retries, check that the reply holds
-// exactly the requested roots in order, and translate its rows' roots
-// back to global IDs. A reply failing that check is a failed call.
+// callShard resolves one shard's slice of a batch: run the hedged call
+// under the shard's breaker with bounded full-jitter retries, and check
+// that the reply holds exactly the requested roots in order. A reply
+// failing that check is a failed call.
 func (s *Server) callShard(ctx context.Context, sh *shard, roots []int64, req *serve.FeaturesRequest) (*shardReply, error) {
 	done, ok := sh.brk.Acquire()
 	if !ok {
@@ -348,18 +295,8 @@ func (s *Server) callShard(ctx context.Context, sh *shard, roots []int64, req *s
 		return nil, fmt.Errorf("router: shard %d breaker open", sh.idx)
 	}
 
-	local := make([]int64, len(roots))
-	for i, g := range roots {
-		l, found := sh.localOf(g)
-		if !found {
-			// Validated at admission; a miss here is a manifest bug.
-			done(false)
-			return nil, fmt.Errorf("router: root %d not in shard %d manifest", g, sh.idx)
-		}
-		local[i] = l
-	}
 	body, err := json.Marshal(serve.FeaturesRequest{
-		Roots:          local,
+		Roots:          roots,
 		DeadlineMS:     req.DeadlineMS,
 		RootBudget:     req.RootBudget,
 		RootDeadlineMS: req.RootDeadlineMS,
@@ -390,11 +327,10 @@ func (s *Server) callShard(ctx context.Context, sh *shard, roots []int64, req *s
 		return nil, fmt.Errorf("router: shard %d returned %d rows for %d roots", sh.idx, len(reply.rows), len(roots))
 	}
 	for i := range reply.rows {
-		if got := reply.rows[i].root; got != local[i] {
+		if got := reply.rows[i].root; got != roots[i] {
 			done(true)
-			return nil, fmt.Errorf("router: shard %d row %d is root %d, want %d", sh.idx, i, got, local[i])
+			return nil, fmt.Errorf("router: shard %d row %d is root %d, want %d", sh.idx, i, got, roots[i])
 		}
-		reply.rows[i].root = roots[i]
 	}
 	done(false)
 	s.stats.shardCalls.Add(1)

@@ -28,7 +28,7 @@ type shardReply struct {
 // row's flags are "ok", and the row's bytes after the root value
 // through its closing brace.
 type splicedRow struct {
-	root int64 // the replica's local ID until callShard translates it
+	root int64
 	ok   bool
 	tail []byte
 }

@@ -84,28 +84,25 @@ func postFeatures(t testing.TB, h http.Handler, req serve.FeaturesRequest) []byt
 }
 
 // replicaRows asks each shard's first replica directly for the given
-// global roots and returns its rows by global root: the rows the router
-// must forward.
+// roots it owns and returns its rows by root: the rows the router must
+// forward.
 func replicaRows(t *testing.T, rt *Server, f *testFleet, req serve.FeaturesRequest, shards []int) map[int64]serve.FeatureRow {
 	t.Helper()
 	out := make(map[int64]serve.FeatureRow)
 	for _, si := range shards {
-		var globals, locals []int64
+		owned := req
+		owned.Roots = nil
 		for _, g := range req.Roots {
 			if graph.RootShard(graph.NodeID(g), rt.numShards) == si {
-				l, _ := rt.shards[si].localOf(g)
-				globals, locals = append(globals, g), append(locals, l)
+				owned.Roots = append(owned.Roots, g)
 			}
 		}
-		local := req
-		local.Roots = locals
 		var fr serve.FeaturesResponse
-		if err := json.Unmarshal(postFeatures(t, f.servers[si][0].Handler(), local), &fr); err != nil {
+		if err := json.Unmarshal(postFeatures(t, f.servers[si][0].Handler(), owned), &fr); err != nil {
 			t.Fatal(err)
 		}
-		for i, row := range fr.Rows {
-			row.Root = globals[i]
-			out[globals[i]] = row
+		for _, row := range fr.Rows {
+			out[row.Root] = row
 		}
 	}
 	return out
@@ -122,7 +119,7 @@ func TestSplicedBodiesMatchEncodingJSON(t *testing.T) {
 	g := fleetTestGraph(t, 400, 7)
 	opts := core.Options{MaxEdges: 3, MaskRootLabel: true}
 	const nShards, deadShard = 3, 2
-	f := buildFleet(t, g, opts, nShards, opts.MaxEdges, 1)
+	f := buildFleet(t, g, opts, nShards, 1)
 	reshape := &reshapeTransport{base: http.DefaultTransport}
 	cfg := fastConfig(f)
 	cfg.Transport = reshape
@@ -301,7 +298,7 @@ func TestWarmRouterAllocBudget(t *testing.T) {
 	}
 	g := fleetTestGraph(t, 400, 7)
 	opts := core.Options{MaxEdges: 3, MaskRootLabel: true}
-	f := buildFleet(t, g, opts, 2, opts.MaxEdges, 1)
+	f := buildFleet(t, g, opts, 2, 1)
 	rt := newTestRouter(t, fastConfig(f))
 	handler := rt.Handler()
 	req := serve.FeaturesRequest{Roots: []int64{0, 50, 100, 150, 200, 250, 300, 350}}

@@ -64,12 +64,15 @@ type StatsResponse struct {
 	FleetWatermark   uint64 `json:"fleet_watermark"`
 
 	// Sequencer retention gauges, present only on ingest-enabled
-	// routers: sequencer WAL bytes on disk, untrimmed sub-batch history
-	// (items and body bytes), and client idempotency index entries.
+	// routers: sequencer WAL bytes on disk, the untrimmed fleet chain
+	// (items and body bytes), client idempotency index entries, and the
+	// edge entries of the overlay batches are checked against (edges
+	// added over the ingest graph plus its edges removed).
 	FleetSeqlogBytes  int64 `json:"fleet_seqlog_bytes,omitempty"`
 	FleetHistoryItems int   `json:"fleet_history_items,omitempty"`
 	FleetHistoryBytes int64 `json:"fleet_history_bytes,omitempty"`
 	FleetAckedIndex   int   `json:"fleet_acked_index,omitempty"`
+	FleetOverlayEdges int   `json:"fleet_overlay_edges,omitempty"`
 
 	// Latency summarises the durations of the last latency.Window 200
 	// /v1/features responses.
@@ -113,7 +116,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Latency:           s.stats.latency.Summary(),
 	}
 	if s.fleet != nil {
-		resp.FleetSeqlogBytes, resp.FleetHistoryItems, resp.FleetHistoryBytes, resp.FleetAckedIndex = s.fleet.memStats()
+		resp.FleetSeqlogBytes, resp.FleetHistoryItems, resp.FleetHistoryBytes, resp.FleetAckedIndex, resp.FleetOverlayEdges = s.fleet.memStats()
 	}
 	for _, sh := range s.shards {
 		st := ShardStats{

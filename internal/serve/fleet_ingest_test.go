@@ -10,9 +10,10 @@ import (
 	"hsgf/internal/ingest"
 )
 
-// fleetBody builds a fleet-sequenced ingest request adding one edge.
+// fleetBody builds a fleet-sequenced ingest request adding one edge to
+// the 5-node seed graph.
 func fleetBody(seq, prev uint64, u, v int) string {
-	return fmt.Sprintf(`{"batch_id":%q,"fleet_seq":%d,"prev_fleet_seq":%d,"mutations":[{"op":"add_edge","u":%d,"v":%d}]}`,
+	return fmt.Sprintf(`{"batch_id":%q,"fleet_seq":%d,"prev_fleet_seq":%d,"fleet_nodes":5,"mutations":[{"op":"add_edge","u":%d,"v":%d}]}`,
 		ingest.FleetBatchID(seq, "c"), seq, prev, u, v)
 }
 
@@ -60,13 +61,13 @@ func TestFleetIngestOrderingProtocol(t *testing.T) {
 }
 
 // TestFleetFollowerAcceptsLargeSubBatch: a fleet follower takes
-// router-sequenced sub-batch bodies up to FleetMaxRequestBody — halo
-// repair can push a sub-batch well past the 1 MiB direct-client bound —
-// while a direct-mode daemon keeps rejecting the same payload size. The
-// raised bound is load-bearing: the router refuses oversized client
+// router-sequenced bodies up to FleetMaxRequestBody — the router's
+// re-encoding of a client batch can pass the 1 MiB direct-client bound
+// — while a direct-mode daemon keeps rejecting the same payload size.
+// The raised bound is load-bearing: the router refuses oversized client
 // batches against THIS limit before sequencing, so a follower rejecting
-// a sequenced sub-batch for size (which would latch the router failed
-// on every boot replay) must be impossible.
+// a sequenced batch for size (which would latch the router failed on
+// every boot replay) must be impossible.
 func TestFleetFollowerAcceptsLargeSubBatch(t *testing.T) {
 	// ~1.3 MiB of add_node mutations: over the direct bound, under the
 	// fleet one.
@@ -78,16 +79,16 @@ func TestFleetFollowerAcceptsLargeSubBatch(t *testing.T) {
 
 	follower, eng := newIngestServer(t, Config{})
 	follower.SetFleetFollower(true)
-	body := fmt.Sprintf(`{"batch_id":%q,"fleet_seq":1,"mutations":%s}`, ingest.FleetBatchID(1, "c"), payload)
+	body := fmt.Sprintf(`{"batch_id":%q,"fleet_seq":1,"fleet_nodes":5,"mutations":%s}`, ingest.FleetBatchID(1, "c"), payload)
 	if len(body) <= 1<<20 {
 		t.Fatalf("test body only %d bytes; must exceed the 1 MiB direct bound", len(body))
 	}
 	var res IngestResponse
 	if w := doJSON(t, follower, http.MethodPost, "/v1/ingest", body, &res); w.Code != http.StatusOK || res.FleetWatermark != 1 {
-		t.Fatalf("follower large sub-batch: status %d watermark %d (%.200s)", w.Code, res.FleetWatermark, w.Body.String())
+		t.Fatalf("follower large fleet body: status %d watermark %d (%.200s)", w.Code, res.FleetWatermark, w.Body.String())
 	}
 	if eng.FleetWatermark() != 1 {
-		t.Fatalf("engine watermark %d after large sub-batch, want 1", eng.FleetWatermark())
+		t.Fatalf("engine watermark %d after large fleet body, want 1", eng.FleetWatermark())
 	}
 
 	direct, _ := newIngestServer(t, Config{})
@@ -122,7 +123,7 @@ func TestFleetIngestDuplicatesAckWithoutReapplying(t *testing.T) {
 
 	// Duplicate of seq 2 under a batch ID the index never saw (models
 	// eviction): the watermark alone proves it was applied; bare ack.
-	body := fmt.Sprintf(`{"batch_id":%q,"fleet_seq":2,"prev_fleet_seq":1,"mutations":[{"op":"add_edge","u":0,"v":3}]}`,
+	body := fmt.Sprintf(`{"batch_id":%q,"fleet_seq":2,"prev_fleet_seq":1,"fleet_nodes":5,"mutations":[{"op":"add_edge","u":0,"v":3}]}`,
 		ingest.FleetBatchID(2, "other-client"))
 	res = IngestResponse{}
 	w = doJSON(t, s, http.MethodPost, "/v1/ingest", body, &res)
@@ -152,22 +153,46 @@ func TestFleetFollowerRejectsDirectWrites(t *testing.T) {
 }
 
 // TestFleetIngestRejectsMismatchedFrame: fleet_seq must be the sequence
-// woven into batch_id, and prev must precede it.
+// woven into batch_id, prev must be its predecessor, and the node count
+// must be present: a body from a router of the older per-shard protocol
+// (prev skipping sequences that did not touch the shard, no node count)
+// is refused, never applied.
 func TestFleetIngestRejectsMismatchedFrame(t *testing.T) {
 	s, _ := newIngestServer(t, Config{})
 	cases := []string{
 		// fleet_seq contradicts batch_id.
-		fmt.Sprintf(`{"batch_id":%q,"fleet_seq":2,"mutations":[{"op":"add_edge","u":0,"v":2}]}`, ingest.FleetBatchID(1, "c")),
+		fmt.Sprintf(`{"batch_id":%q,"fleet_seq":2,"fleet_nodes":5,"mutations":[{"op":"add_edge","u":0,"v":2}]}`, ingest.FleetBatchID(1, "c")),
 		// plain batch_id with a fleet_seq.
-		`{"batch_id":"plain","fleet_seq":1,"mutations":[{"op":"add_edge","u":0,"v":2}]}`,
+		`{"batch_id":"plain","fleet_seq":1,"fleet_nodes":5,"mutations":[{"op":"add_edge","u":0,"v":2}]}`,
 		// prev >= seq.
-		fmt.Sprintf(`{"batch_id":%q,"fleet_seq":2,"prev_fleet_seq":2,"mutations":[{"op":"add_edge","u":0,"v":2}]}`, ingest.FleetBatchID(2, "c")),
+		fmt.Sprintf(`{"batch_id":%q,"fleet_seq":2,"prev_fleet_seq":2,"fleet_nodes":5,"mutations":[{"op":"add_edge","u":0,"v":2}]}`, ingest.FleetBatchID(2, "c")),
+		// prev short of seq-1.
+		fmt.Sprintf(`{"batch_id":%q,"fleet_seq":3,"prev_fleet_seq":1,"fleet_nodes":5,"mutations":[{"op":"add_edge","u":0,"v":2}]}`, ingest.FleetBatchID(3, "c")),
+		// no node count.
+		fmt.Sprintf(`{"batch_id":%q,"fleet_seq":1,"mutations":[{"op":"add_edge","u":0,"v":2}]}`, ingest.FleetBatchID(1, "c")),
 	}
 	for i, body := range cases {
 		w := doJSON(t, s, http.MethodPost, "/v1/ingest", body, nil)
 		if w.Code != http.StatusBadRequest {
 			t.Errorf("case %d: status %d, want 400 (%s)", i, w.Code, w.Body.String())
 		}
+	}
+}
+
+// TestFleetIngestRefusesOtherGraph: a follower whose graph does not
+// hold the node count a fleet batch applies to — a halo shard cut by an
+// older partitioner holds fewer nodes, under other IDs — answers 400
+// graph_mismatch and applies nothing.
+func TestFleetIngestRefusesOtherGraph(t *testing.T) {
+	s, eng := newIngestServer(t, Config{})
+	s.SetFleetFollower(true)
+	body := fmt.Sprintf(`{"batch_id":%q,"fleet_seq":1,"fleet_nodes":9,"mutations":[{"op":"add_edge","u":0,"v":2}]}`, ingest.FleetBatchID(1, "c"))
+	w := doJSON(t, s, http.MethodPost, "/v1/ingest", body, nil)
+	if w.Code != http.StatusBadRequest || errorCode(t, w) != "graph_mismatch" {
+		t.Fatalf("batch for a 9-node graph: status %d (%s), want 400 graph_mismatch", w.Code, w.Body.String())
+	}
+	if g, _, _, _, _ := eng.State(); eng.FleetWatermark() != 0 || g.NumEdges() != 4 {
+		t.Fatalf("refused batch applied: watermark %d, %d edges", eng.FleetWatermark(), g.NumEdges())
 	}
 }
 

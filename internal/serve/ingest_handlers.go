@@ -61,13 +61,15 @@ func (s *Server) Ingesting() bool { return s.ingest != nil }
 func (s *Server) SetFleetFollower(on bool) { s.fleetFollower = on }
 
 // FleetMaxRequestBody bounds the /v1/ingest body of a fleet-follower
-// daemon. Router-sequenced sub-batches carry halo repair — a pulled
-// node's full adjacency rides along — so they can legitimately outgrow
-// the 1 MiB direct-client bound. The router enforces this same cap on
-// every sub-batch BEFORE assigning a fleet sequence (see
-// router.Config.MaxSubBatchBytes), so a sequenced batch is never
-// rejected here for size; if it were, the rejection would latch the
-// router fleet-failed and re-latch it on every boot replay.
+// daemon. The router re-encodes each client batch into the body it
+// sends every follower, and that body can outgrow the client's (the
+// router caps client bodies at 8 MiB, and encoding/json escapes some
+// characters of a name six-fold), so followers take the 8 MiB bound
+// rather than the 1 MiB direct-client one. The router refuses a batch
+// whose follower body would pass this cap BEFORE assigning it a fleet
+// sequence, so a sequenced batch is never rejected here for size; if it
+// were, the rejection would latch the router fleet-failed and re-latch
+// it on every boot replay.
 const FleetMaxRequestBody = 8 << 20
 
 // IngestMutation is the wire form of one mutation in POST /v1/ingest.
@@ -111,19 +113,26 @@ type IngestRequest struct {
 	BatchID   string           `json:"batch_id"`
 	Mutations []IngestMutation `json:"mutations"`
 
-	// FleetSeq marks a router-sequenced sub-batch: the monotone fleet
+	// FleetSeq marks a router-sequenced fleet batch: the monotone fleet
 	// sequence the router's sequencer WAL assigned this batch. It must
 	// match the sequence encoded in BatchID (an ingest.FleetBatchID).
 	// Zero means an ordinary client batch.
 	FleetSeq uint64 `json:"fleet_seq,omitempty"`
-	// PrevFleetSeq is the fleet sequence of the previous batch that
-	// touched this shard (0 if this is the first). The shard applies a
-	// fleet batch only when PrevFleetSeq equals its own watermark —
-	// anything else is a gap: some earlier batch has not arrived here
-	// yet, and applying out of order would corrupt the halo-maintenance
-	// stream, so the shard refuses with 409 sequence_gap and reports its
-	// watermark for the router to replay from.
+	// PrevFleetSeq is FleetSeq-1: every shard applies every fleet batch.
+	// The shard applies a fleet batch only when PrevFleetSeq equals its
+	// own watermark — anything else is a gap: some earlier batch has not
+	// arrived here yet, and a batch applied out of order would refer to
+	// nodes and edges that are not there yet, so the shard refuses with
+	// 409 sequence_gap and reports its watermark for the router to replay
+	// from.
 	PrevFleetSeq uint64 `json:"prev_fleet_seq,omitempty"`
+	// FleetNodes is the node count of the fleet graph this batch applies
+	// to; required on fleet batches. A shard whose graph holds another
+	// count at that watermark does not serve the fleet's graph (a store
+	// cut into a halo shard by an older partitioner, whose IDs are not
+	// the fleet's) and refuses the batch with 400 graph_mismatch rather
+	// than apply it to the wrong nodes.
+	FleetNodes *int64 `json:"fleet_nodes,omitempty"`
 }
 
 // IngestResponse is the body of a successful POST /v1/ingest. The
@@ -210,9 +219,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Fleet followers accept the router's larger sub-batch bound; the
-	// router guarantees sequenced sub-batches fit it. Direct-client
-	// daemons keep the tight bound.
+	// Fleet followers accept the router's larger body bound; the router
+	// guarantees sequenced bodies fit it. Direct-client daemons keep the
+	// tight bound.
 	bodyLimit := int64(maxRequestBody)
 	if s.fleetFollower {
 		bodyLimit = FleetMaxRequestBody
@@ -237,7 +246,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.FleetSeq != 0 {
-		// A fleet sub-batch's idempotency key IS its fleet identity: the
+		// A fleet batch's idempotency key IS its fleet identity: the
 		// sequence must be woven into the batch ID, or a duplicate under a
 		// different ID would dodge the replay index and apply twice.
 		if seq, ok := ingest.ParseFleetSeq(req.BatchID); !ok || seq != req.FleetSeq {
@@ -246,10 +255,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("fleet_seq %d does not match the sequence encoded in batch_id %q", req.FleetSeq, req.BatchID), 0)
 			return
 		}
-		if req.PrevFleetSeq >= req.FleetSeq {
+		if req.PrevFleetSeq != req.FleetSeq-1 || req.FleetNodes == nil {
 			s.stats.badReq.Add(1)
 			s.writeError(w, http.StatusBadRequest, "bad_request",
-				"prev_fleet_seq must be strictly below fleet_seq", 0)
+				"a fleet batch carries prev_fleet_seq = fleet_seq-1 and fleet_nodes; this router speaks an older fleet protocol", 0)
 			return
 		}
 	} else if s.fleetFollower {
@@ -308,15 +317,23 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		case req.PrevFleetSeq != wm:
-			// Gap: a predecessor has not arrived. Refuse — applying out of
-			// order would corrupt the halo-maintenance stream — and report
-			// the watermark so the router replays everything after it from
-			// its sequencer log.
+			// Gap: a predecessor has not arrived. Refuse and report the
+			// watermark so the router replays everything after it from its
+			// sequencer log.
 			s.writeErrorExtra(w, http.StatusConflict, "sequence_gap",
 				fmt.Sprintf("fleet seq %d claims predecessor %d but this shard's watermark is %d",
 					req.FleetSeq, req.PrevFleetSeq, wm), 0,
 				map[string]any{"watermark": wm})
 			return
+		default:
+			if g, _, _, _, _ := s.ingest.State(); int64(g.NumNodes()) != *req.FleetNodes {
+				s.stats.badReq.Add(1)
+				s.writeError(w, http.StatusBadRequest, "graph_mismatch",
+					fmt.Sprintf("fleet seq %d applies to a %d-node graph but this shard's graph holds %d nodes at watermark %d: "+
+						"its store is not the fleet's graph (a halo shard cut by an older hsgf -partition?); re-partition and re-seed the shard",
+						req.FleetSeq, *req.FleetNodes, g.NumNodes(), wm), 0)
+				return
+			}
 		}
 	}
 
